@@ -17,6 +17,15 @@ class TccpSyntaxError(TccpError):
         super().__init__(f"{line}:{col}: {what}")
 
 
+class NestingTooDeepError(TccpError):
+    """Program text nested deeper than the recursive-descent parser can follow."""
+
+    def __init__(self, line, col):
+        self.line = line
+        self.col = col
+        super().__init__(f"{line}:{col}: nesting too deep to parse")
+
+
 class UnboundVariableError(TccpError):
     """A declaration body uses a variable that is neither a formal nor exists-bound."""
 

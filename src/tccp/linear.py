@@ -6,16 +6,19 @@ and (for equalities) the lowest-numbered dimension carrying a positive
 coefficient. Stores are immutable values; every operation returns a new
 store. Dimensions are identified by index and are never renumbered.
 
-Satisfiability is decided exactly over the rationals: equalities are
-eliminated by Gaussian substitution, then the remaining (possibly strict)
-inequalities go through a two-phase dictionary simplex with Bland's rule.
-Strict systems are decided by maximizing a shared slack margin: the system
-has a solution iff its non-strict relaxation does and the margin's supremum
-is positive. Projection uses Fourier-Motzkin elimination with strictness
-propagation. Answers never depend on floating point.
+Satisfiability is decided exactly over the rationals. Each store keeps
+its equalities in a solved form that grows by at most one pivot per told
+equality; the inequalities, reduced through it, go through a two-phase
+dictionary simplex with Bland's rule, and only when some of them still
+have variables. Strict systems are decided by maximizing a shared slack
+margin: the system has a solution iff its non-strict relaxation does and
+the margin's supremum is positive. Projection uses Fourier-Motzkin
+elimination with strictness propagation. Answers never depend on
+floating point.
 """
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd
 
 from .errors import DimensionMismatchError, UnallocatedDimensionError
@@ -71,45 +74,50 @@ def _negate(r):
 
 # ------------------------------------------------------------ feasibility
 
-def _gauss(rows):
-    """Substitute out equalities. Returns (inequality rows, consistent)."""
-    eqs, ineqs = [], []
-    for op, coeffs, const in rows:
-        r = (op, {d: Fraction(c) for d, c in coeffs}, Fraction(const))
-        (eqs if op == "=" else ineqs).append(r)
-    while eqs:
-        op, coeffs, const = eqs.pop()
-        coeffs = {d: c for d, c in coeffs.items() if c != 0}
-        if not coeffs:
-            if const != 0:
-                return [], False
+def _reduce(coeffs, const, solved):
+    """Substitute the pivots of `solved` out of `sum c*D + const`.
+
+    Returns ({dim: Fraction}, Fraction) over non-pivot dimensions only.
+    Pivots are taken lowest first; a definition mentions only dimensions
+    above its pivot, so each substitution's pivot is higher than the last
+    and the loop ends.
+    """
+    work = {d: Fraction(c) for d, c in coeffs}
+    const = Fraction(const)
+    todo = [d for d in work if d in solved]
+    heapify(todo)
+    while todo:
+        p = heappop(todo)
+        f = work.pop(p, None)
+        if f is None:  # cancelled out by an earlier substitution
             continue
-        d = min(coeffs)
-        a = coeffs[d]
-        # x_d = (-const - sum_{j != d} c_j x_j) / a
-        def subst(row_):
-            rop, rc, rconst = row_
-            f = rc.get(d)
-            if not f:
-                return row_
-            scale = f / a
-            out = {j: rc.get(j, Fraction(0)) - scale * c
-                   for j, c in coeffs.items() if j != d}
-            for j, c in rc.items():
-                if j != d and j not in out:
-                    out[j] = c
-            return (rop, {j: c for j, c in out.items() if c != 0}, rconst - scale * const)
-        eqs = [subst(r) for r in eqs]
-        ineqs = [subst(r) for r in ineqs]
-    clean = []
-    for op, coeffs, const in ineqs:
-        coeffs = {d: c for d, c in coeffs.items() if c != 0}
-        if not coeffs:
-            if not (const <= 0 if op == "<=" else const < 0):
-                return [], False
-            continue
-        clean.append((op, coeffs, const))
-    return clean, True
+        dcoeffs, dconst = solved[p]
+        for j, c in dcoeffs.items():
+            v = work.get(j, 0) + f * c
+            if v:
+                if j not in work and j in solved:
+                    heappush(todo, j)
+                work[j] = v
+            else:
+                del work[j]
+        const += f * dconst
+    return work, const
+
+
+def _absorb(solved, r):
+    """Add the equality row `r` to `solved` in place; False if it contradicts it.
+
+    The reduced row's lowest dimension becomes a pivot defined by the
+    rest, so a definition only mentions higher dimensions that are not
+    pivots yet.
+    """
+    coeffs, const = _reduce(r[1], r[2], solved)
+    if not coeffs:
+        return const == 0
+    p = min(coeffs)
+    a = coeffs.pop(p)
+    solved[p] = ({j: -c / a for j, c in coeffs.items()}, -const / a)
+    return True
 
 
 class _Simplex:
@@ -208,22 +216,35 @@ class _Simplex:
         return self._maximize(*self._sub_objective({objective_col: Fraction(1)}))
 
 
-def _feasible(rows):
-    """Exact satisfiability of canonical rows over the rationals."""
-    ineqs, ok = _gauss(rows)
-    if not ok:
-        return False
-    if not ineqs:
+def _feasible(rows, solved=None):
+    """Exact satisfiability of canonical rows, conjoined with a solved form
+    (see `LinStore`), over the rationals."""
+    solved = solved or {}
+    if any(r[0] == "=" for r in rows):
+        solved = dict(solved)
+        for r in rows:
+            if r[0] == "=" and not _absorb(solved, r):
+                return False
+    live = []
+    for op, coeffs, const in rows:
+        if op == "=":
+            continue
+        coeffs, const = _reduce(coeffs, const, solved)
+        if coeffs:
+            live.append((op, coeffs, const))
+        elif not (const <= 0 if op == "<=" else const < 0):
+            return False
+    if not live:
         return True
-    dims = sorted({d for _, coeffs, _ in ineqs for d in coeffs})
+    dims = sorted({d for _, coeffs, _ in live for d in coeffs})
     # free x_d = u - v with u, v >= 0; one shared strict margin column
     col = {}
     for d in dims:
         col[d] = len(col) * 2
     eps = len(col) * 2
-    has_strict = any(op == "<" for op, _, _ in ineqs)
+    has_strict = any(op == "<" for op, _, _ in live)
     mat, rhs = [], []
-    for op, coeffs, const in ineqs:
+    for op, coeffs, const in live:
         r = {}
         for d, c in coeffs.items():
             r[col[d]] = c
@@ -247,14 +268,23 @@ def _feasible(rows):
 # -------------------------------------------------------------- the store
 
 class LinStore:
-    """Immutable set of canonical rows over a fixed number of dimensions."""
+    """Immutable set of canonical rows over a fixed number of dimensions.
 
-    __slots__ = ("dims", "rows", "empty", "_memo")
+    `rows` are the rows as told and alone make the store's value. The
+    other fields index them: `solved` holds the equalities in solved
+    form, pivot dimension -> ({dim: Fraction}, Fraction) meaning
+    D_pivot = sum c*D + k, and `ineqs` holds the inequality rows. Once a
+    store is empty the index stops following `rows`; nothing reads it.
+    """
 
-    def __init__(self, dims=0, rows=(), empty=None):
+    __slots__ = ("dims", "rows", "solved", "ineqs", "empty", "_memo")
+
+    def __init__(self, dims, rows, solved, ineqs, empty):
         self.dims = dims
         self.rows = rows
-        self.empty = _feasible(rows) is False if empty is None else empty
+        self.solved = solved
+        self.ineqs = ineqs
+        self.empty = empty
         self._memo = {}
 
     def __eq__(self, other):
@@ -268,20 +298,39 @@ class LinStore:
         return f"LinStore(dims={self.dims}, rows={len(self.rows)}, empty={self.empty})"
 
 
+# one shared empty store: stores are values, and its memo only caches answers
+_NEW = LinStore(0, (), {}, (), False)
+
+
 def ls_new():
-    return LinStore()
-
-
-def ls_add_dim(s):
-    """Allocate the next dimension; returns (store, dim index)."""
-    return LinStore(s.dims + 1, s.rows, s.empty), s.dims
+    return _NEW
 
 
 def ls_grow(s, dims):
     """Grow the dimension space to at least `dims` (no renumbering)."""
     if dims <= s.dims:
         return s
-    return LinStore(dims, s.rows, s.empty)
+    return LinStore(dims, s.rows, s.solved, s.ineqs, s.empty)
+
+
+def _told(s, dims, new):
+    """`s` over `dims` dimensions with the rows `new`, none of them in `s`, told.
+
+    Only the new rows go through the solved form; the feasibility check
+    then reduces the inequalities through it.
+    """
+    if not new:
+        return ls_grow(s, dims)
+    rows = s.rows + new
+    if s.empty:
+        return LinStore(dims, rows, s.solved, s.ineqs, True)
+    solved, ineqs = dict(s.solved), s.ineqs
+    for r in new:
+        if r[0] != "=":
+            ineqs += (r,)
+        elif not _absorb(solved, r):
+            return LinStore(dims, rows, solved, ineqs, True)
+    return LinStore(dims, rows, solved, ineqs, not _feasible(ineqs, solved))
 
 
 def _check_dims(s, r):
@@ -297,10 +346,7 @@ def ls_add(s, r):
     _check_dims(s, r)
     if r in s.rows:
         return s
-    rows = s.rows + (r,)
-    if s.empty:
-        return LinStore(s.dims, rows, True)
-    return LinStore(s.dims, rows)
+    return _told(s, s.dims, (r,))
 
 
 def ls_is_empty(s):
@@ -323,7 +369,7 @@ def ls_entails(s, r):
         if neg is None:
             ans = False
             break
-        if neg is not FALSE_ROW and _feasible(s.rows + (neg,)):
+        if neg is not FALSE_ROW and _feasible(s.ineqs + (neg,), s.solved):
             ans = False
             break
     s._memo[r] = ans
@@ -337,12 +383,11 @@ def ls_meet(a, b):
         for d, _ in r[1]:
             if d >= dims:
                 raise DimensionMismatchError(a.dims, b.dims)
-    rows = a.rows + tuple(r for r in b.rows if r not in set(a.rows))
-    if a.empty or b.empty:
-        return LinStore(dims, rows, True)
-    if rows == a.rows and dims == a.dims:
-        return a
-    return LinStore(dims, rows)
+    have = set(a.rows)
+    new = tuple(r for r in b.rows if r not in have)
+    if b.empty and not a.empty:
+        return LinStore(dims, a.rows + new, a.solved, a.ineqs, True)
+    return _told(a, dims, new)
 
 
 def ls_project(s, dim):
@@ -354,7 +399,7 @@ def ls_project(s, dim):
     if dim >= s.dims:
         raise UnallocatedDimensionError(dim, s.dims)
     if s.empty:
-        return LinStore(s.dims, (FALSE_ROW,), True)
+        return _told(ls_new(), s.dims, (FALSE_ROW,))
     work = [(op, {d: Fraction(c) for d, c in coeffs}, Fraction(const))
             for op, coeffs, const in s.rows]
     keep = [r for r in work if dim not in r[1]]
@@ -393,10 +438,10 @@ def ls_project(s, dim):
     for rop, rc, rconst in keep + out:
         r = row(rop, rc, rconst)
         if r is FALSE_ROW:
-            return LinStore(s.dims, (FALSE_ROW,), True)
+            return _told(ls_new(), s.dims, (FALSE_ROW,))
         if r is not None and r not in rows:
             rows.append(r)
-    return LinStore(s.dims, tuple(rows))
+    return _told(ls_new(), s.dims, tuple(rows))
 
 
 # ------------------------------------------------------------------ dump

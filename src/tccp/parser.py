@@ -12,8 +12,8 @@ from .ast import (
     Now, Num, Parallel, Program, Skip, StreamEq, Tell, Var,
 )
 from .errors import (
-    ArityError, DuplicateDeclarationError, TccpSyntaxError,
-    UnboundVariableError, UnknownProcedureError,
+    ArityError, DuplicateDeclarationError, NestingTooDeepError,
+    TccpSyntaxError, UnboundVariableError, UnknownProcedureError,
 )
 
 KEYWORDS = {"skip", "tell", "ask", "now", "then", "else", "exists", "true"}
@@ -450,18 +450,25 @@ def validate(program):
 
 # ------------------------------------------------------------- public API
 
-def parse_agent(text):
+def _parse(text, rule):
+    """Apply one rule of `_Parser` to the whole of `text`."""
     p = _Parser(text)
-    a = p.agent()
+    try:
+        out = rule(p)
+    except RecursionError:
+        # the descent takes one or more Python frames per nesting level
+        t = p.peek()
+        raise NestingTooDeepError(t.line, t.col) from None
     p.expect("EOF")
-    return a
+    return out
+
+
+def parse_agent(text):
+    return _parse(text, _Parser.agent)
 
 
 def parse_constraint(text):
-    p = _Parser(text)
-    c = p.constraint()
-    p.expect("EOF")
-    return c
+    return _parse(text, _Parser.constraint)
 
 
 def parse_program(text, entry=None):
@@ -470,8 +477,7 @@ def parse_program(text, entry=None):
     Free variables of the entry agent are recorded in first-occurrence order;
     the interpreter gives them cells in an implicit root scope.
     """
-    p = _Parser(text)
-    decls = p.program()
+    decls = _parse(text, _Parser.program)
     entry_agent = None
     entry_vars = ()
     if entry is not None:

@@ -2,8 +2,9 @@
 
 The feasibility oracle here is deliberately a different algorithm from
 the implementation: plain Fourier-Motzkin elimination with equalities
-split into opposite inequalities, versus the package's Gauss +
-two-phase simplex. The two must agree on every system.
+split into opposite inequalities, versus the package's solved form for
+equalities plus two-phase simplex on the reduced inequalities. The two
+must agree on every system.
 """
 
 from fractions import Fraction
@@ -61,11 +62,12 @@ def fm_feasible(rows):
         if not dims:
             return True
         # eliminate the variable that breeds the fewest product rows
-        def cost(d):
-            lo = sum(1 for _, cs, _ in ineqs if cs.get(d, 0) < 0)
-            hi = sum(1 for _, cs, _ in ineqs if cs.get(d, 0) > 0)
-            return lo * hi
-        d = min(dims, key=cost)
+        lo, hi = {}, {}
+        for _, cs, _ in ineqs:
+            for dd, c in cs.items():
+                side = lo if c < 0 else hi
+                side[dd] = side.get(dd, 0) + 1
+        d = min(dims, key=lambda dd: lo.get(dd, 0) * hi.get(dd, 0))
         lowers, uppers, rest = [], [], []
         for op, cs, k in ineqs:
             c = cs.get(d, 0)
@@ -325,7 +327,9 @@ def check_projection_axioms(rng, n_stores, dims=3):
         # (b) monotone: a weaker store projects to a weaker store
         sub = list(s.rows)
         rng.shuffle(sub)
-        weaker = s.__class__(dims, tuple(sub[:rng.randint(0, len(sub))]))
+        weaker = ls_grow(ls_new(), dims)
+        for r in sub[:rng.randint(0, len(sub))]:
+            weaker = ls_add(weaker, r)
         assert all(ls_entails(ls_project(s, x), r)
                    for r in ls_project(weaker, x).rows), i
         # (c) projecting out x absorbs an already-projected conjunct

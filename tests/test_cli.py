@@ -190,6 +190,22 @@ class TestExitCodes:
                            "--policy", "first", "--seed", "3")
         assert code == 1 and "--seed" in err
 
+    def test_deep_nesting_is_an_error_not_a_traceback(self, tmp_path):
+        # a list literal nested 3000 deep, past what the recursive descent
+        # can follow; a child process, so the stack depth is the CLI's own
+        p = tmp_path / "deep.tccp"
+        p.write_text("p(X) :- tell(X = " + "[" * 3000 + "a | _"
+                     + "] | _" * 2999 + "]).\n")
+        for args in (["check"], ["run", "--entry", "p(Y)", "--steps", "1"]):
+            r = subprocess.run([sys.executable, "-m", "tccp.cli", args[0],
+                                "--program", str(p), *args[1:]],
+                               capture_output=True, text=True,
+                               env=cli_child_env(0))
+            assert r.returncode == 1, args
+            assert r.stdout == ""
+            assert r.stderr.startswith("error: ") and "nesting" in r.stderr
+            assert "Traceback" not in r.stderr
+
     def test_random_policy_with_seed_runs(self, cli, empty_program):
         code, _, _ = cli("run", "--program", empty_program,
                          "--entry", "ask(true) -> skip + ask(true) -> skip",

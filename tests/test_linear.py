@@ -7,9 +7,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from tccp import linear
 from tccp.errors import UnallocatedDimensionError
 from tccp.linear import (
-    FALSE_ROW, dump_lin, dump_row, ls_add, ls_add_dim, ls_entails, ls_grow,
+    FALSE_ROW, dump_lin, dump_row, ls_add, ls_entails, ls_grow,
     ls_is_empty, ls_meet, ls_new, ls_project, row,
 )
 from support import fm_feasible, random_row, random_store, stores_equivalent
@@ -17,6 +18,27 @@ from support import fm_feasible, random_row, random_store, stores_equivalent
 
 def R(op, coeffs, const):
     return row(op, {d: Fraction(c) for d, c in coeffs.items()}, Fraction(const))
+
+
+def fm_entails(rows, c):
+    """rows entail c iff rows meet (not c) is infeasible, case-split on not c."""
+    if not fm_feasible(rows):
+        return True
+    op, coeffs, const = c
+    neg = {d: -v for d, v in coeffs}
+    if op == "<=":
+        cases = [("<", neg, -const)]
+    elif op == "<":
+        cases = [("<=", neg, -const)]
+    else:
+        cases = [("<", dict(coeffs), const), ("<", neg, -const)]
+    for o, cs, k in cases:
+        r2 = row(o, cs, k)
+        if r2 is None:  # the negation holds everywhere
+            return False
+        if r2 is not FALSE_ROW and fm_feasible(rows + (r2,)):
+            return False
+    return True
 
 
 def store(dims, *rows_):
@@ -33,7 +55,8 @@ class TestBasics:
         assert not ls_is_empty(ls_new())
 
     def test_fresh_store_entails_only_trivial_rows(self):
-        s, d = ls_add_dim(ls_new())
+        s = ls_new()
+        s, d = ls_grow(s, s.dims + 1), s.dims
         assert d == 0
         assert ls_entails(s, None)
         assert not ls_entails(s, R("=", {0: 1}, 0))
@@ -41,7 +64,7 @@ class TestBasics:
     def test_add_dim_numbers_sequentially(self):
         s = ls_new()
         for expect in range(6):
-            s, d = ls_add_dim(s)
+            s, d = ls_grow(s, s.dims + 1), s.dims
             assert d == expect
         assert s.dims == 6
 
@@ -133,35 +156,13 @@ class TestFeasibilityDifferential:
                 f"case {i}: {s.rows}"
 
     def test_entailment_agrees_with_oracle_definition(self):
-        # s entails c iff s meet (not c) is infeasible, case-split on not c
         rng = random.Random(13)
         for _ in range(250):
             s = random_store(rng, dims=3)
             c = random_row(rng, 3)
             if c is None:
                 continue
-            op, coeffs, const = c
-            neg = dict(coeffs)
-            cases = []
-            if op == "<=":
-                cases.append(("<", {d: -v for d, v in neg.items()}, -const))
-            elif op == "<":
-                cases.append(("<=", {d: -v for d, v in neg.items()}, -const))
-            else:
-                cases.append(("<", neg, const))
-                cases.append(("<", {d: -v for d, v in neg.items()}, -const))
-            def case_feasible(o, cs, k):
-                r2 = row(o, cs, k)
-                if r2 is None:  # negation holds everywhere
-                    return fm_feasible(s.rows)
-                if r2 is FALSE_ROW:
-                    return False
-                return fm_feasible(s.rows + (r2,))
-
-            expected = not any(case_feasible(*case) for case in cases)
-            if s.empty:
-                expected = True
-            assert ls_entails(s, c) == expected
+            assert ls_entails(s, c) == fm_entails(s.rows, c)
 
 
 # ----------------------------------------------------------- dim growth
@@ -171,7 +172,7 @@ class TestDimensionGrowth:
         rng = random.Random(21)
         for _ in range(120):
             s = random_store(rng, dims=3)
-            s2, _ = ls_add_dim(s)
+            s2 = ls_grow(s, s.dims + 1)
             assert ls_is_empty(s2) == ls_is_empty(s)
             assert s2.rows == s.rows
 
@@ -220,6 +221,93 @@ class TestMeet:
         m = ls_meet(a, b)
         assert m.dims == 4
         assert ls_entails(m, R("=", {3: 1}, -1))
+
+
+# ----------------------------------------------------------- solved form
+
+def chain(links, k, x0=None, extra=None):
+    """X_{i+1} = X_i + k for `links` links, X_0 = x0 if given; `extra`
+    maps a link index to rows told just before that link."""
+    s = ls_grow(ls_new(), links + 1)
+    if x0 is not None:
+        s = ls_add(s, R("=", {0: 1}, -x0))
+    for i in range(links):
+        for r in (extra or {}).get(i, ()):
+            s = ls_add(s, r)
+        s = ls_add(s, R("=", {i + 1: 1, i: -1}, -k))
+    return s
+
+
+class TestSolvedForm:
+    def test_long_chains_agree_with_elimination(self):
+        # the bounds are told before the links that pin their dimensions,
+        # so later pivots must reach inequalities already in the store
+        fits = {10: [R(">=", {90: 1, 0: -1}, -270)],
+                80: [R("<=", {119: 1}, -1000), R(">", {60: 1, 2: -1}, 0)]}
+        clash = {10: [R("<", {90: 1, 0: -1}, -270)],
+                 80: [R("<=", {119: 1}, -1000)]}
+        for x0 in (None, 5):
+            for extra, feasible in ((fits, True), (clash, False)):
+                s = chain(120, 3, x0, extra)
+                assert len(s.rows) == 120 + (x0 is not None) + sum(
+                    map(len, extra.values()))
+                assert ls_is_empty(s) == (not fm_feasible(s.rows)) \
+                    == (not feasible), (x0, feasible)
+
+    def test_meet_of_siblings_agrees_with_elimination(self):
+        rng = random.Random(61)
+        for _ in range(20):
+            base = chain(30, rng.randint(-3, 3))
+            sibs = []
+            for _ in range(rng.randint(2, 5)):
+                sib = base
+                for _ in range(2):  # rows on one or two dims keep FM small
+                    dims_ = rng.sample(range(31), rng.randint(1, 2))
+                    sib = ls_add(sib, R(rng.choice(["=", "<=", "<"]),
+                                        {d: rng.choice([-2, -1, 1, 2])
+                                         for d in dims_},
+                                        rng.randint(-100, 100)))
+                sibs.append(sib)
+            m = base
+            for sib in sibs:
+                m = ls_meet(m, sib)
+            told = []
+            for sib in sibs:
+                told += [r for r in sib.rows[len(base.rows):] if r not in told]
+            assert m.rows == base.rows + tuple(told)
+            assert ls_is_empty(m) == (not fm_feasible(m.rows))
+
+    def test_chain_entailment_agrees_with_elimination(self):
+        n, k = 20, 4
+        stores = {"free": chain(n, k), "pinned": chain(n, k, x0=2),
+                  "bounded": chain(n, k, extra={0: [R(">=", {0: 1}, -2)]})}
+        questions = [R("=", {n: 1, 0: -1}, -n * k),
+                     R("=", {n: 1, 0: -1}, -n * k - 1),
+                     R("<=", {n: 1, 0: -1}, -n * k),
+                     R("<", {n: 1, 0: -1}, -n * k)]
+        for op in ("=", "<=", ">"):
+            for at in (2 + n * k - 1, 2 + n * k, 2 + n * k + 1):
+                questions.append(R(op, {n: 1}, -at))
+        for name, s in stores.items():
+            answers = [ls_entails(s, q) for q in questions]
+            assert answers == [fm_entails(s.rows, q) for q in questions], name
+            assert answers[:4] == [True, False, True, False], name
+            if name != "free":  # X_n >= 2 + n*k holds, X_n > 2 + n*k does not
+                assert ls_entails(s, R(">=", {n: 1}, -(2 + n * k)))
+                assert not ls_entails(s, R(">", {n: 1}, -(2 + n * k)))
+
+    def test_pure_equalities_never_reach_the_simplex(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("simplex built for a pure-equality store")
+        monkeypatch.setattr(linear, "_Simplex", refuse)
+        n, k = 400, 7
+        free, pinned = chain(n, k), chain(n, k, x0=-3)
+        assert not ls_is_empty(free) and not ls_is_empty(pinned)
+        assert ls_entails(free, R("=", {n: 1, 0: -1}, -n * k))
+        assert not ls_entails(free, R("<=", {n: 1, 0: -1}, -n * k + 1))
+        assert ls_entails(pinned, R("=", {n: 1}, 3 - n * k))
+        assert ls_entails(pinned, R(">", {n: 1, 200: -1}, 0))
+        assert not ls_entails(pinned, R("<", {n: 1}, 3 - n * k))
 
 
 # ------------------------------------------------------------ projection
