@@ -78,7 +78,7 @@ class TraceStep:
     agents: tuple
 
 
-def initial_config(program, policy=None):
+def initial_config(program):
     if program.entry is None:
         raise ValueError("program has no entry agent")
     store = Store.new()
@@ -162,7 +162,7 @@ def step(config, policy, rng):
         threads.extend(th)
         moved = moved or mv
     if not moved:
-        return False, replace_status(config, QUIESCENT)
+        return False, replace(config, status=QUIESCENT)
     store = Store.merge(base, snaps).seal()
     if not store.is_consistent():
         status = FAILED
@@ -174,14 +174,9 @@ def step(config, policy, rng):
                         config.clock + 1, status)
 
 
-def replace_status(config, status):
-    return Config(config.program, config.store, config.active,
-                  config.clock, status)
-
-
-def _trace_step(config, status=RUNNING):
+def _trace_step(config):
     agents = tuple(pretty_agent(t.agent) for t in config.active)
-    return TraceStep(config.clock, status, config.store, agents)
+    return TraceStep(config.clock, RUNNING, config.store, agents)
 
 
 def run(program, steps, policy=None, seed=None):
@@ -198,7 +193,7 @@ def run(program, steps, policy=None, seed=None):
     if seed is not None and policy.seed is None:
         policy = ChoicePolicy(policy.kind, seed)
     rng = policy.make_rng()
-    config = initial_config(program, policy)
+    config = initial_config(program)
     trace = [_trace_step(config)]
     final = RUNNING
     for _ in range(steps):

@@ -24,7 +24,9 @@ from . import ast
 from .errors import (
     DuplicateInScopeError, UnboundActualError, UnknownSymbolError,
 )
-from .linear import ls_add, ls_entails, ls_grow, ls_is_empty, ls_meet, ls_new, row
+from .linear import (
+    dump_lin, ls_add, ls_entails, ls_grow, ls_is_empty, ls_meet, ls_new, row,
+)
 
 UNBOUND = ("unbound",)
 
@@ -46,6 +48,21 @@ def dvar_cell(dim):
 def functor_cell(head):
     # tail lives at head + 1
     return ("functor", head)
+
+
+def _leaf_rule(ca, cb):
+    """The const/dvar rule for two bound cells that are not both functors:
+    True when they are equal, False on a clash, else the linear row that
+    their equality needs."""
+    if ca[0] == "const" and cb[0] == "const":
+        return ca[1] == cb[1]
+    if ca[0] == "dvar" and cb[0] == "dvar":
+        return row("=", {ca[1]: 1, cb[1]: -1}, 0)
+    if ca[0] == "const":
+        ca, cb = cb, ca
+    if ca[0] == "dvar" and cb[0] == "const" and not isinstance(cb[1], str):
+        return row("=", {ca[1]: 1}, -cb[1])
+    return False
 
 
 class Allocator:
@@ -138,25 +155,32 @@ class Store:
             cell = self.memory[idx]
         return idx
 
-    def _reaches(self, start, target):
-        """Does the structure rooted at `start` contain cell `target`?"""
+    def _reaches(self, stack, target, scope_id=None):
+        """Does any cell index, cell value or term on `stack` contain cell
+        `target`? Variables in terms are looked up in scope_id."""
         seen = set()
-        stack = [start]
         while stack:
-            i = stack.pop()
-            if i == target:
-                return True
-            if i in seen:
+            x = stack.pop()
+            if isinstance(x, ast.Var):
+                x = self.lookup(scope_id, x.name)
+            elif isinstance(x, ast.Cons):
+                stack.append(x.tail)
+                stack.append(x.head)
                 continue
-            seen.add(i)
-            cell = self.memory[i]
-            if cell is None:
-                continue
-            if cell[0] == "ref":
-                stack.append(cell[1])
-            elif cell[0] == "functor":
-                stack.append(cell[1])
-                stack.append(cell[1] + 1)
+            if isinstance(x, int):
+                if x == target:
+                    return True
+                if x in seen:
+                    continue
+                seen.add(x)
+                x = self.memory[x]
+            if not isinstance(x, tuple):
+                continue  # an atom, a number, `_` or a hole in memory
+            if x[0] == "ref":
+                stack.append(x[1])
+            elif x[0] == "functor":
+                stack.append(x[1])
+                stack.append(x[1] + 1)
         return False
 
     # ------------------------------------------------------------- scopes
@@ -225,146 +249,111 @@ class Store:
 
     # ------------------------------------------------------- unification
 
-    def _clash(self):
-        self.step_false = True
+    def _unify(self, idx, rhs, scope_id=None):
+        """Tell-mode: unify the cell at idx with `rhs`, a term told in
+        scope_id, another cell's index, or a cell value other than a ref
+        (merge replay). The walk keeps an explicit stack and pushes tails
+        before heads, so its effects come in the order of a preorder walk.
+        """
+        stack = [(idx, rhs, None)]
+        while stack:
+            i, t, seen = stack.pop()
+            if isinstance(t, ast.Anon):
+                continue  # an anonymous position constrains nothing
+            if isinstance(t, ast.Var):
+                t, seen = self.lookup(scope_id, t.name), None
+            elif isinstance(t, (ast.Atom, ast.Num)):
+                t = const_cell(t.name if isinstance(t, ast.Atom) else t.value)
+            a = self.deref(i)
+            ca = self.memory[a]
+            if isinstance(t, ast.Cons):
+                if ca == UNBOUND:
+                    if self._reaches([t], a, scope_id):
+                        self.step_false = True
+                        continue
+                    ca = functor_cell(self._alloc_cell(UNBOUND))
+                    self._alloc_cell(UNBOUND)  # tail at head + 1
+                    self._set(a, ca)
+                if ca[0] != "functor":
+                    self.step_false = True
+                    continue
+                stack.append((ca[1] + 1, t.tail, None))
+                stack.append((ca[1], t.head, None))
+                continue
+            b = None
+            if isinstance(t, int):
+                b = self.deref(t)
+                if a == b:
+                    continue
+                t = self.memory[b]
+            if ca == UNBOUND:
+                if b is not None and t == UNBOUND:
+                    self._set(max(a, b), ref_cell(min(a, b)))
+                elif self._reaches([t], a):
+                    self.step_false = True
+                else:
+                    self._set(a, t if b is None else ref_cell(b))
+            elif t == UNBOUND:
+                if b is None:
+                    continue  # a replayed unbound cell adds nothing
+                if self._reaches([ca], b):
+                    self.step_false = True
+                else:
+                    self._set(b, ref_cell(a))
+            elif ca == t:
+                continue
+            elif ca[0] == "functor" and t[0] == "functor":
+                seen = seen or set()
+                key = (a, t[1]) if b is None else (min(a, b), max(a, b))
+                if key in seen:
+                    continue
+                seen.add(key)
+                stack.append((ca[1] + 1, t[1] + 1, seen))
+                stack.append((ca[1], t[1], seen))
+            else:
+                r = _leaf_rule(ca, t)
+                if r is False:
+                    self.step_false = True
+                elif r is not True:
+                    self._add_row(r)
 
-    def _unify_cells(self, i, j, seen=None):
-        a, b = self.deref(i), self.deref(j)
-        if a == b:
-            return
-        ca, cb = self.memory[a], self.memory[b]
-        if ca == UNBOUND and cb == UNBOUND:
-            hi, lo = (a, b) if a > b else (b, a)
-            self._set(hi, ref_cell(lo))
-            return
-        if ca == UNBOUND:
-            if self._reaches(b, a):
-                self._clash()
-            else:
-                self._set(a, ref_cell(b))
-            return
-        if cb == UNBOUND:
-            if self._reaches(a, b):
-                self._clash()
-            else:
-                self._set(b, ref_cell(a))
-            return
-        ka, kb = ca[0], cb[0]
-        if ka == "const" and kb == "const":
-            if ca[1] != cb[1] or isinstance(ca[1], str) != isinstance(cb[1], str):
-                self._clash()
-            return
-        if ka == "dvar" and kb == "dvar":
-            self._add_row(row("=", {ca[1]: 1, cb[1]: -1}, 0))
-            return
-        if ka == "dvar" and kb == "const" or ka == "const" and kb == "dvar":
-            dim = ca[1] if ka == "dvar" else cb[1]
-            val = cb[1] if ka == "dvar" else ca[1]
-            if isinstance(val, str):
-                self._clash()
-            else:
-                self._add_row(row("=", {dim: 1}, -val))
-            return
-        if ka == "functor" and kb == "functor":
-            seen = seen or set()
-            key = (a, b) if a < b else (b, a)
-            if key in seen:
-                return
-            seen.add(key)
-            self._unify_cells(ca[1], cb[1], seen)
-            self._unify_cells(ca[1] + 1, cb[1] + 1, seen)
-            return
-        self._clash()
-
-    def _unify_value(self, idx, cell, seen=None):
-        """Unify the cell at idx with a cell value (merge replay)."""
-        if cell[0] == "ref":
-            self._unify_cells(idx, cell[1], seen)
-            return
-        i = self.deref(idx)
-        cur = self.memory[i]
-        if cur == UNBOUND:
-            if cell[0] == "functor" and (self._reaches(cell[1], i)
-                                         or self._reaches(cell[1] + 1, i)):
-                self._clash()
-            else:
-                self._set(i, cell)
-            return
-        if cur == cell:
-            return
-        if cell[0] == "functor" and cur[0] == "functor":
-            seen = seen or set()
-            key = (i, cell[1])
-            if key in seen:
-                return
-            seen.add(key)
-            self._unify_cells(cur[1], cell[1], seen)
-            self._unify_cells(cur[1] + 1, cell[1] + 1, seen)
-            return
-        if cell[0] == "unbound":
-            return
-        ka, kb = cur[0], cell[0]
-        if ka == "const" and kb == "const":
-            if cur[1] != cell[1] or isinstance(cur[1], str) != isinstance(cell[1], str):
-                self._clash()
-        elif ka == "dvar" and kb == "dvar":
-            self._add_row(row("=", {cur[1]: 1, cell[1]: -1}, 0))
-        elif {ka, kb} == {"dvar", "const"}:
-            dim = cur[1] if ka == "dvar" else cell[1]
-            val = cell[1] if ka == "dvar" else cur[1]
-            if isinstance(val, str):
-                self._clash()
-            else:
-                self._add_row(row("=", {dim: 1}, -val))
-        else:
-            self._clash()
-
-    def _bind_term(self, idx, term, scope_id):
-        """Tell-mode: unify the cell at idx with a syntactic term."""
-        if isinstance(term, ast.Anon):
-            return  # an anonymous position constrains nothing
-        if isinstance(term, ast.Var):
-            self._unify_cells(idx, self.lookup(scope_id, term.name))
-            return
-        i = self.deref(idx)
-        cur = self.memory[i]
-        if isinstance(term, (ast.Atom, ast.Num)):
-            val = term.name if isinstance(term, ast.Atom) else term.value
-            if cur == UNBOUND:
-                self._set(i, const_cell(val))
-            elif cur[0] == "const":
-                if cur[1] != val or isinstance(cur[1], str) != isinstance(val, str):
-                    self._clash()
-            elif cur[0] == "dvar" and isinstance(val, Fraction):
-                self._add_row(row("=", {cur[1]: 1}, -val))
-            else:
-                self._clash()
-            return
-        if isinstance(term, ast.Cons):
-            if cur == UNBOUND:
-                if self._term_reaches(term, i, scope_id):
-                    self._clash()
-                    return
-                head = self._alloc_cell(UNBOUND)
-                self._alloc_cell(UNBOUND)  # tail at head + 1
-                self._set(i, functor_cell(head))
-                self._bind_term(head, term.head, scope_id)
-                self._bind_term(head + 1, term.tail, scope_id)
-            elif cur[0] == "functor":
-                self._bind_term(cur[1], term.head, scope_id)
-                self._bind_term(cur[1] + 1, term.tail, scope_id)
-            else:
-                self._clash()
-            return
-        raise TypeError(f"bad term: {term!r}")
-
-    def _term_reaches(self, term, target, scope_id):
-        if isinstance(term, ast.Var):
-            return self._reaches(self.lookup(scope_id, term.name), target)
-        if isinstance(term, ast.Cons):
-            return (self._term_reaches(term.head, target, scope_id)
-                    or self._term_reaches(term.tail, target, scope_id))
-        return False
+    def _entailed(self, idx, rhs, scope_id):
+        """Ask-mode: does the store entail that the cell at idx equals the
+        term rhs (resolved in scope_id)? Pure; walks like `_unify`."""
+        stack = [(idx, rhs)]
+        seen = set()
+        while stack:
+            i, t = stack.pop()
+            if isinstance(t, ast.Anon):
+                continue
+            if isinstance(t, ast.Var):
+                t = self.lookup(scope_id, t.name)
+            elif isinstance(t, (ast.Atom, ast.Num)):
+                t = const_cell(t.name if isinstance(t, ast.Atom) else t.value)
+            a = self.deref(i)
+            ca = self.memory[a]
+            if isinstance(t, ast.Cons):
+                if ca[0] != "functor":
+                    return False
+                stack.append((ca[1] + 1, t.tail))
+                stack.append((ca[1], t.head))
+                continue
+            if isinstance(t, int):
+                b = self.deref(t)
+                if a == b:
+                    continue
+                t = self.memory[b]
+            if ca[0] == "functor" and t[0] == "functor":  # t is cell b's value
+                key = (a, b) if a < b else (b, a)
+                if key not in seen:
+                    seen.add(key)
+                    stack.append((ca[1] + 1, t[1] + 1))
+                    stack.append((ca[1], t[1]))
+                continue
+            r = _leaf_rule(ca, t)
+            if r is False or r is not True and not ls_entails(self.lin, r):
+                return False
+        return True
 
     # ----------------------------------------------------- linear support
 
@@ -397,12 +386,12 @@ class Store:
         if isinstance(c, ast.CTrue):
             return
         if isinstance(c, ast.StreamEq):
-            self._bind_term(self.lookup(scope_id, c.var), c.rhs, scope_id)
+            self._unify(self.lookup(scope_id, c.var), c.rhs, scope_id)
             return
         if isinstance(c, ast.Linear):
             resolved = self._resolve_linexpr(c.lhs - c.rhs, scope_id, allocate=True)
             if resolved is None:
-                self._clash()
+                self.step_false = True
                 return
             coeffs, const = resolved
             self._add_row(row(c.op, coeffs, const))
@@ -422,62 +411,8 @@ class Store:
             coeffs, const = resolved
             return ls_entails(self.lin, row(c.op, coeffs, const))
         if isinstance(c, ast.StreamEq):
-            return self._match(self.lookup(scope_id, c.var), c.rhs, scope_id, set())
+            return self._entailed(self.lookup(scope_id, c.var), c.rhs, scope_id)
         raise TypeError(f"bad constraint: {c!r}")
-
-    def _match(self, idx, term, scope_id, seen):
-        """One-way match of a pattern term against the structure at idx."""
-        if isinstance(term, ast.Anon):
-            return True
-        if isinstance(term, ast.Var):
-            return self._cells_equal(idx, self.lookup(scope_id, term.name), seen)
-        i = self.deref(idx)
-        cell = self.memory[i]
-        if isinstance(term, (ast.Atom, ast.Num)):
-            val = term.name if isinstance(term, ast.Atom) else term.value
-            if cell[0] == "const":
-                return cell[1] == val and isinstance(cell[1], str) == isinstance(val, str)
-            if cell[0] == "dvar" and isinstance(val, Fraction):
-                return ls_entails(self.lin, row("=", {cell[1]: 1}, -val))
-            return False
-        if isinstance(term, ast.Cons):
-            if cell[0] != "functor":
-                return False
-            key = (i, id(term))
-            if key in seen:
-                return True
-            seen.add(key)
-            return (self._match(cell[1], term.head, scope_id, seen)
-                    and self._match(cell[1] + 1, term.tail, scope_id, seen))
-        raise TypeError(f"bad term: {term!r}")
-
-    def _cells_equal(self, i, j, seen):
-        """Does the store entail equality of the structures at i and j?"""
-        a, b = self.deref(i), self.deref(j)
-        if a == b:
-            return True
-        ca, cb = self.memory[a], self.memory[b]
-        if ca == UNBOUND or cb == UNBOUND:
-            return False
-        ka, kb = ca[0], cb[0]
-        if ka == "const" and kb == "const":
-            return ca[1] == cb[1] and isinstance(ca[1], str) == isinstance(cb[1], str)
-        if ka == "dvar" and kb == "dvar":
-            return ls_entails(self.lin, row("=", {ca[1]: 1, cb[1]: -1}, 0))
-        if {ka, kb} == {"dvar", "const"}:
-            dim = ca[1] if ka == "dvar" else cb[1]
-            val = cb[1] if ka == "dvar" else ca[1]
-            if isinstance(val, str):
-                return False
-            return ls_entails(self.lin, row("=", {dim: 1}, -val))
-        if ka == "functor" and kb == "functor":
-            key = (a, b) if a < b else (b, a)
-            if key in seen:
-                return True
-            seen.add(key)
-            return (self._cells_equal(ca[1], cb[1], seen)
-                    and self._cells_equal(ca[1] + 1, cb[1] + 1, seen))
-        return False
 
     # -------------------------------------------------------------- merge
 
@@ -493,6 +428,7 @@ class Store:
         out.write_log = dict(base.write_log)
         out.new_nodes = list(base.new_nodes)
         base_len = len(base.memory)
+        logs = []
         for snap in locals_:
             out.step_false = out.step_false or snap.step_false
             out.lin = ls_meet(out.lin, snap.lin)
@@ -502,14 +438,15 @@ class Store:
                     out.scopes.extend([None] * (nid + 1 - len(out.scopes)))
                 out.scopes[nid] = node
                 out.new_nodes.append(nid)
-        for snap in locals_:  # creations first: indices are disjoint by allocator
-            for idx in sorted(snap.write_log):
+            logs.append(sorted(snap.write_log.items()))
+        for log in logs:  # creations first: indices are disjoint by allocator
+            for idx, cell in log:
                 if idx >= base_len:
-                    out._set(idx, snap.write_log[idx])
-        for snap in locals_:
-            for idx in sorted(snap.write_log):
+                    out._set(idx, cell)
+        for log in logs:
+            for idx, cell in log:
                 if idx < base_len:
-                    out._unify_value(idx, snap.write_log[idx])
+                    out._unify(idx, cell[1] if cell[0] == "ref" else cell)
         return out
 
     # --------------------------------------------------------------- dump
@@ -519,7 +456,6 @@ class Store:
                 "dims": self.lin.dims}
 
     def dump(self):
-        from .linear import dump_lin
         scopes = []
         for node in self.scopes:
             scopes.append({

@@ -382,6 +382,65 @@ class TestSnapshots:
         assert out.entails(0, C("X = a"))
 
 
+# ------------------------------------------------------- long streams
+
+LONG = 3000  # cells per stream: far past Python's default recursion limit
+
+
+def tell_stream(st, scope, var, values):
+    """Tell var = [v0, v1, ... | nil] one cell per tell, through fresh tail
+    variables, so that no single tell or term is deep."""
+    node = st.add_scope(EXISTS, scope)
+    prev = var
+    for k, v in enumerate(values):
+        st.add_variable(node, f"T{k}")
+        st.add_constraint(node, C(f"{prev} = [{v} | T{k}]"))
+        prev = f"T{k}"
+    st.add_constraint(node, C(f"{prev} = nil"))
+
+
+def long_values(same):
+    """The elements of V, and those of W: equal, or the last one changed."""
+    values = list(range(LONG))
+    return values, values if same else values[:-1] + [-1]
+
+
+@pytest.mark.parametrize("same", [True, False], ids=["equal", "last_differs"])
+class TestLongStreams:
+    def test_tell_walks_both_streams(self, same):
+        v, w = long_values(same)
+        st = fresh("V", "W")
+        tell_stream(st, 0, "V", v)
+        tell_stream(st, 0, "W", w)
+        registers = st.counts()["registers"]
+        st.add_constraint(0, C("V = W"))
+        assert st.is_consistent() == same
+        assert st.counts()["registers"] == registers
+
+    def test_ask_walks_both_streams(self, same):
+        v, w = long_values(same)
+        st = fresh("V", "W")
+        tell_stream(st, 0, "V", v)
+        tell_stream(st, 0, "W", w)
+        assert st.entails(0, C("V = W")) == same
+        assert st.is_consistent()
+
+    def test_merge_walks_both_streams(self, same):
+        v, w = long_values(same)
+        for flip in (False, True):
+            base = fresh("V", "W")
+            told, built = base.branch(), base.branch()
+            told.add_constraint(0, C("V = W"))
+            tell_stream(built, 0, "V", v)
+            tell_stream(built, 0, "W", w)
+            assert told.is_consistent() and built.is_consistent()
+            snaps = [built, told] if flip else [told, built]
+            out = Store.merge(base, snaps)
+            assert out.is_consistent() == same
+            if same:
+                assert out.entails(0, C("V = W"))
+
+
 # -------------------------------------------------------- the call law
 
 class TestParameterLaw:
