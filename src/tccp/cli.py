@@ -57,15 +57,6 @@ def _build_argparser():
     return ap
 
 
-def _selected(trace, every):
-    if every == 0:
-        return [trace[-1]]
-    picked = [el for i, el in enumerate(trace) if i % every == 0]
-    if picked[-1] is not trace[-1]:
-        picked.append(trace[-1])
-    return picked
-
-
 def _jsonl_line(el):
     doc = {
         "clock": el.clock,
@@ -96,9 +87,9 @@ def cmd_run(args):
     with open(args.program) as f:
         program = parse_program(f.read(), entry=args.entry)
     policy = ChoicePolicy(args.policy, args.seed)
-    trace = run(program, args.steps, policy)
+    trace = run(program, args.steps, policy, every=args.dump_every)
     out = []
-    for el in _selected(trace, args.dump_every):
+    for el in trace:
         out.append(_jsonl_line(el) if args.format == "jsonl"
                    else _text_block(el))
     print("\n".join(out))
@@ -120,7 +111,7 @@ def cmd_stats(args):
     program = parse_program(text, entry=args.entry)
     t1 = time.perf_counter()
     policy = ChoicePolicy(args.policy, args.seed)
-    trace = run(program, args.steps, policy)
+    trace = run(program, args.steps, policy, every=0)
     t2 = time.perf_counter()
     counts = trace[-1].store.counts()
     print(f"instants           {trace[-1].clock}")

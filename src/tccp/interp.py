@@ -179,14 +179,17 @@ def _trace_step(config):
     return TraceStep(config.clock, RUNNING, config.store, agents)
 
 
-def run(program, steps, policy=None, seed=None):
-    """Simulate for at most `steps` instants; returns the list of trace steps.
+def run(program, steps, policy=None, seed=None, every=1):
+    """Simulate for at most `steps` instants; returns the kept trace steps.
 
     Element k describes the store after k instants (element 0 is the
     store before the first). Every element is "running" except the last,
     which carries the final status: "running" when the step budget ran
     out mid-computation, "quiescent" when no thread could move, "failed"
     when the store became inconsistent.
+
+    Only element k with k % every == 0 is kept, plus the final element;
+    every=0 keeps the final element alone. The default keeps them all.
     """
     if policy is None:
         policy = ChoicePolicy("first")
@@ -194,18 +197,21 @@ def run(program, steps, policy=None, seed=None):
         policy = ChoicePolicy(policy.kind, seed)
     rng = policy.make_rng()
     config = initial_config(program)
-    trace = [_trace_step(config)]
+    trace = [_trace_step(config)] if every else []
     final = RUNNING
     for _ in range(steps):
         moved, config = step(config, policy, rng)
         if not moved:
             final = QUIESCENT
             break
-        trace.append(_trace_step(config))
+        if every and config.clock % every == 0:
+            trace.append(_trace_step(config))
         if config.status != RUNNING:
             final = config.status
             break
     else:
         final = config.status
+    if not trace or trace[-1].clock != config.clock:
+        trace.append(_trace_step(config))
     trace[-1] = replace(trace[-1], status=final)
     return trace

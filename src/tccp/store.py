@@ -13,9 +13,11 @@ are allocated lazily, on first use in a linear constraint.
 Stores are stepped through snapshots: each thread of one time instant
 executes on its own branch, all branches sharing one allocator so that
 register, node and dimension indices stay disjoint and survive the merge
-verbatim. Merging replays each branch's write log onto the base through
-unification; a clash (atom vs number, structure vs numeric, occurs cycle)
-latches the whole store inconsistent.
+verbatim. A branch shares its parent's register and scope lists and
+copies them before its first write (copy on write), so a thread that
+only asks copies nothing. Merging replays each branch's write log onto
+the base through unification; a clash (atom vs number, structure vs
+numeric, occurs cycle) latches the whole store inconsistent.
 """
 
 from fractions import Fraction
@@ -90,13 +92,15 @@ class ScopeNode:
 class Store:
     """One value of the store; snapshots are branches sharing the allocator."""
 
-    __slots__ = ("alloc", "scopes", "memory", "lin", "step_false",
+    __slots__ = ("alloc", "scopes", "memory", "owned", "lin", "step_false",
                  "write_log", "new_nodes")
 
     def __init__(self, alloc=None):
         self.alloc = alloc or Allocator()
         self.scopes = []
         self.memory = []
+        # False while `scopes` and `memory` may be shared with another store
+        self.owned = True
         self.lin = ls_new()
         self.step_false = False
         self.write_log = {}
@@ -111,10 +115,14 @@ class Store:
     # ------------------------------------------------------------ branches
 
     def branch(self):
-        """Snapshot for one thread/agent of the current instant."""
+        """Snapshot for one thread/agent of the current instant.
+
+        The snapshot shares this store's lists; whichever of the two
+        writes first copies them (`_unshare`)."""
         s = Store(self.alloc)
-        s.scopes = list(self.scopes)
-        s.memory = list(self.memory)
+        s.scopes = self.scopes
+        s.memory = self.memory
+        s.owned = self.owned = False
         s.lin = self.lin
         s.step_false = self.step_false
         return s
@@ -127,7 +135,15 @@ class Store:
 
     # ----------------------------------------------------------- low level
 
+    def _unshare(self):
+        """Take private copies of the lists before the first write."""
+        if not self.owned:
+            self.scopes = list(self.scopes)
+            self.memory = list(self.memory)
+            self.owned = True
+
     def _set(self, idx, cell):
+        self._unshare()
         if idx >= len(self.memory):
             self.memory.extend([None] * (idx + 1 - len(self.memory)))
         self.memory[idx] = cell
@@ -189,6 +205,7 @@ class Store:
         nid = self.alloc.next_node
         self.alloc.next_node += 1
         node = ScopeNode(nid, parent, kind, label)
+        self._unshare()
         if nid >= len(self.scopes):
             self.scopes.extend([None] * (nid + 1 - len(self.scopes)))
         self.scopes[nid] = node
@@ -431,7 +448,12 @@ class Store:
         logs = []
         for snap in locals_:
             out.step_false = out.step_false or snap.step_false
-            out.lin = ls_meet(out.lin, snap.lin)
+            # out.lin grew from base.lin, so it holds every row of a
+            # sibling that told none
+            if snap.lin is not base.lin:
+                out.lin = ls_meet(out.lin, snap.lin)
+            if snap.new_nodes:
+                out._unshare()
             for nid in snap.new_nodes:
                 node = snap.scopes[nid]
                 if nid >= len(out.scopes):

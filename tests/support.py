@@ -17,36 +17,36 @@ from tccp.linear import ls_add, ls_entails, ls_grow, ls_new, row
 
 # ------------------------------------------------------- FM feasibility
 
-def _fm_tidy(ineqs):
-    """Scale rows to a comparable form, drop subsumed ones.
+def _fm_tidy(best, ineqs):
+    """Scale rows to a comparable form and add them to `best`.
 
-    Returns (rows, ok) where ok=False means a ground row is violated.
-    Rows are (op, {dim: Fraction}, Fraction) meaning expr + const op 0;
-    among rows with the same scaled lhs only the tightest bound is kept.
+    `best` maps a scaled lhs to its tightest (const, op): among rows with
+    the same scaled lhs only the tightest bound is kept. Rows are
+    (op, {dim: Fraction}, Fraction) meaning expr + const op 0. Returns
+    False when a ground row is violated.
     """
-    best = {}
     for op, cs, k in ineqs:
         cs = {d: Fraction(c) for d, c in cs.items() if c != 0}
         if not cs:
             if (k > 0) if op == "<=" else (k >= 0):
-                return [], False
+                return False
             continue
-        scale = None
-        for d in sorted(cs):
-            scale = abs(cs[d]) if scale is None else scale
-        cs = {d: c / scale for d, c in cs.items()}
-        key = tuple(sorted(cs.items()))
+        scale = abs(cs[min(cs)])
+        key = tuple(sorted((d, c / scale) for d, c in cs.items()))
         cand = (Fraction(k) / scale, op)
         prev = best.get(key)
         # larger const is tighter; on a tie "<" beats "<="
         if prev is None or cand[0] > prev[0] or \
                 (cand[0] == prev[0] and cand[1] == "<"):
             best[key] = cand
-    return [(op, dict(key), k) for key, (k, op) in best.items()], True
+    return True
 
 
 def fm_feasible(rows):
-    """Decide rational satisfiability of canonical rows by elimination."""
+    """Decide rational satisfiability of canonical rows by elimination.
+
+    The rows stay tidied in one dict between steps; each step tidies only
+    the rows it creates."""
     ineqs = []
     for op, coeffs, const in rows:
         if op == "=":
@@ -54,30 +54,25 @@ def fm_feasible(rows):
             ineqs.append(("<=", {d: -c for d, c in coeffs}, Fraction(-const)))
         else:
             ineqs.append((op, dict(coeffs), Fraction(const)))
-    ineqs, ok = _fm_tidy(ineqs)
-    if not ok:
+    best = {}
+    if not _fm_tidy(best, ineqs):
         return False
-    while True:
-        dims = sorted({d for _, cs, _ in ineqs for d in cs})
-        if not dims:
-            return True
+    while best:
         # eliminate the variable that breeds the fewest product rows
         lo, hi = {}, {}
-        for _, cs, _ in ineqs:
-            for dd, c in cs.items():
+        for key in best:
+            for dd, c in key:
                 side = lo if c < 0 else hi
                 side[dd] = side.get(dd, 0) + 1
-        d = min(dims, key=lambda dd: lo.get(dd, 0) * hi.get(dd, 0))
-        lowers, uppers, rest = [], [], []
-        for op, cs, k in ineqs:
-            c = cs.get(d, 0)
-            if c == 0:
-                rest.append((op, cs, k))
-            elif c > 0:
-                uppers.append((op, cs, k, c))
-            else:
-                lowers.append((op, cs, k, c))
-        ineqs = rest
+        d = min(sorted(lo.keys() | hi.keys()),
+                key=lambda dd: lo.get(dd, 0) * hi.get(dd, 0))
+        lowers, uppers = [], []
+        for key in list(best):
+            cs = dict(key)
+            if d in cs:
+                k, op = best.pop(key)
+                (uppers if cs[d] > 0 else lowers).append((op, cs, k, cs[d]))
+        new = []
         for lop, lcs, lk, lc in lowers:
             for uop, ucs, uk, uc in uppers:
                 cs2 = {}
@@ -89,10 +84,10 @@ def fm_feasible(rows):
                         cs2[dd] = v
                 k2 = uc * lk + (-lc) * uk
                 op2 = "<" if (lop == "<" or uop == "<") else "<="
-                ineqs.append((op2, cs2, k2))
-        ineqs, ok = _fm_tidy(ineqs)
-        if not ok:
+                new.append((op2, cs2, k2))
+        if not _fm_tidy(best, new):
             return False
+    return True
 
 
 # -------------------------------------------------- random linear data

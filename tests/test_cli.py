@@ -1,6 +1,7 @@
 """Command line front end: flags, output formats, exit codes,
 and byte-level determinism of the jsonl trace."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -9,7 +10,9 @@ from importlib import resources
 
 import pytest
 
+from tccp import interp
 from tccp.cli import main
+from tccp.errors import UnknownSymbolError
 from support import cli_child_env
 
 PHOTOCOPIER = str(resources.files("tccp") / "programs" / "photocopier.tccp")
@@ -206,6 +209,21 @@ class TestExitCodes:
             assert r.stderr.startswith("error: ") and "nesting" in r.stderr
             assert "Traceback" not in r.stderr
 
+    def test_an_error_mid_run_prints_no_trace(self, cli, monkeypatch):
+        real_step = interp.step
+
+        def step(config, policy, rng):
+            if config.clock == 5:
+                raise UnknownSymbolError("Late")
+            return real_step(config, policy, rng)
+
+        monkeypatch.setattr(interp, "step", step)
+        code, out, err = cli("run", "--program", PHOTOCOPIER,
+                             "--entry", PHOTOCOPIER_ENTRY, "--steps", "30",
+                             "--policy", "last", "--format", "jsonl")
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "Late" in err
+
     def test_random_policy_with_seed_runs(self, cli, empty_program):
         code, _, _ = cli("run", "--program", empty_program,
                          "--entry", "ask(true) -> skip + ask(true) -> skip",
@@ -240,3 +258,30 @@ class TestDeterminism:
             assert code == 0
             runs.add(out)
         assert len(runs) == 1
+
+
+# ------------------------------------------------------------ byte gate
+
+class TestByteGate:
+    """sha256 of the photocopier's jsonl trace under --policy last. The
+    digests pin the trace bytes: a change to them is a change of output,
+    however it comes about."""
+
+    @pytest.mark.parametrize("steps, every, lines, digest", [
+        (30, 1, 31,
+         "2c90a7d6022f54e62fd3562c1f135eb243b095fa49d19727b715a5d8e2813c74"),
+        (500, 1, 501,
+         "2e2110e10c336ebac010e2ecf7696f6c72e8216a3ab295fcddf6fdba3ee55d4e"),
+        (500, 7, 73,
+         "fdadec2d046a2b806a9312cf9b4b05aa2780708c7225eff36db811a4f911761a"),
+        (500, 0, 1,
+         "56e62ed720f53b02539753fc0cc61f883cf7f7b7afafd348187a55ec3bcc7c6b"),
+    ], ids=["30", "500", "500-every-7", "500-every-0"])
+    def test_photocopier_jsonl(self, cli, steps, every, lines, digest):
+        code, out, err = cli("run", "--program", PHOTOCOPIER,
+                             "--entry", PHOTOCOPIER_ENTRY,
+                             "--steps", str(steps), "--policy", "last",
+                             "--format", "jsonl", "--dump-every", str(every))
+        assert code == 0 and err == ""
+        assert out.count("\n") == lines
+        assert hashlib.sha256(out.encode()).hexdigest() == digest

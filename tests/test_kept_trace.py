@@ -1,0 +1,137 @@
+"""`run(..., every=M)` keeps only the trace steps that `--dump-every M`
+prints, stores taken during a run never change afterwards, and a run that
+keeps only its final step holds far less memory than one that keeps all.
+"""
+
+import json
+import random
+import tracemalloc
+
+from importlib import resources
+
+import pytest
+
+from tccp import interp
+from tccp.interp import ChoicePolicy, run
+from tccp.parser import parse_program
+from support import ProgramGen
+
+PHOTOCOPIER_ENTRY = "initialize(MIdle) || tell(MIdle = 5)"
+EVERY = (0, 1, 2, 3, 7)
+POLICIES = ("first", "last", "random")
+
+
+@pytest.fixture(scope="module")
+def photocopier():
+    text = (resources.files("tccp") / "programs" / "photocopier.tccp").read_text()
+    return parse_program(text, entry=PHOTOCOPIER_ENTRY)
+
+
+@pytest.fixture(scope="module")
+def generated():
+    rng = random.Random(2024)
+    programs = []
+    for _ in range(220):
+        decls, entry = ProgramGen(rng).gen()
+        programs.append(parse_program(decls, entry=entry))
+    return programs
+
+
+def reference_selection(trace, every):
+    """Element k of the full trace when k % every == 0, plus the final
+    element; every=0 selects the final element alone."""
+    if every == 0:
+        return [trace[-1]]
+    picked = [el for k, el in enumerate(trace) if k % every == 0]
+    if picked[-1] is not trace[-1]:
+        picked.append(trace[-1])
+    return picked
+
+
+def observed(trace):
+    return [(el.clock, el.status, el.agents,
+             json.dumps(el.store.dump(), sort_keys=True)) for el in trace]
+
+
+def policy_of(kind, i):
+    return ChoicePolicy(kind, i if kind == "random" else None)
+
+
+def check_every(program, steps, policy):
+    full = run(program, steps, policy=policy)
+    for every in EVERY:
+        kept = run(program, steps, policy=policy, every=every)
+        assert observed(kept) == observed(reference_selection(full, every)), \
+            (steps, policy.kind, every)
+    return full[-1]
+
+
+class TestEvery:
+    def test_generated_programs_under_each_policy(self, generated):
+        ends = {}
+        for kind in POLICIES:
+            for i, program in enumerate(generated):
+                last = check_every(program, 12, policy_of(kind, i))
+                early = last.clock < 12
+                ends[last.status, early] = ends.get((last.status, early), 0) + 1
+        # runs that end before the budget, quiescent and failed, and runs
+        # cut by it are all among them
+        assert ends.get(("quiescent", True), 0) > 0
+        assert ends.get(("failed", True), 0) > 0
+        assert ends.get(("running", False), 0) > 0
+
+    def test_zero_steps_keeps_the_initial_step(self, generated):
+        for i, program in enumerate(generated):
+            for kind in POLICIES:
+                for every in EVERY:
+                    kept = run(program, 0, policy=policy_of(kind, i),
+                               every=every)
+                    assert [el.clock for el in kept] == [0]
+                    assert kept[0].status == "running"
+
+    def test_photocopier(self, photocopier):
+        # 60 is a multiple of 2 and 3, not of 7
+        for kind in ("first", "last"):
+            last = check_every(photocopier, 60, ChoicePolicy(kind))
+            assert (last.clock, last.status) == (60, "running")
+
+    def test_the_final_step_is_kept_off_the_stride(self, photocopier):
+        kept = run(photocopier, 20, policy=ChoicePolicy("last"), every=7)
+        assert [el.clock for el in kept] == [0, 7, 14, 20]
+        assert [el.status for el in kept] == ["running"] * 4
+
+
+class TestSnapshotsStayPut:
+    def test_no_later_instant_mutates_an_earlier_store(self, generated,
+                                                       monkeypatch):
+        eager = {}
+        real_step = interp.step
+
+        def step(config, policy, rng):
+            if config.clock not in eager:
+                eager[config.clock] = config.store.dump()
+            moved, new = real_step(config, policy, rng)
+            if moved:
+                eager[new.clock] = new.store.dump()
+            return moved, new
+
+        monkeypatch.setattr(interp, "step", step)
+        for kind in POLICIES:
+            for i, program in enumerate(generated):
+                eager.clear()
+                for el in run(program, 12, policy=policy_of(kind, i)):
+                    assert el.store.dump() == eager[el.clock], (kind, i)
+
+
+def test_keeping_only_the_final_step_needs_a_quarter_of_the_memory(
+        photocopier):
+    def peak(every):
+        tracemalloc.start()
+        try:
+            run(photocopier, 1000, every=every)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    full, final_only = peak(1), peak(0)
+    assert final_only < full / 4, (final_only, full)

@@ -382,6 +382,85 @@ class TestSnapshots:
         assert out.entails(0, C("X = a"))
 
 
+# ---------------------------------------------------- copy on write
+
+def dump_of(st):
+    """What `dump()` shows, also for a snapshot whose lists have holes
+    where a sibling allocated."""
+    scopes = [None if n is None else
+              (n.id, n.parent, n.kind, n.label, sorted(n.symbols.items()))
+              for n in st.scopes]
+    return repr((st.is_consistent(), scopes, st.memory, st.lin.dims,
+                 st.lin.rows))
+
+
+def grow(st, tag):
+    """Tell cells, add a scope with variables and a call with parameters."""
+    a = tag == "a"
+    st.add_constraint(0, C("X = [a | _]" if a else "X = [_ | [b | _]]"))
+    st.add_constraint(0, C("Y = 2" if a else "Y > 1"))
+    nid = st.add_scope(EXISTS, 0)
+    for name in ("L", "M"):
+        st.add_variable(nid, name)
+    st.add_constraint(nid, C(f"L = [{tag} | M]"))
+    st.add_constraint(nid, C("M = N + 1" if a else "M = off"))
+    call = st.add_scope(PROC_CALL, 0, label=f"p_{tag}")
+    st.add_parameter(call, "F", ast.Var("X"), 0)
+    st.add_parameter(call, "G", parse_constraint("Z = Y + 3").lhs, 0)
+
+
+class TestCopyOnWrite:
+    def test_an_asking_branch_copies_nothing(self):
+        base = fresh("X")
+        snap = base.branch()
+        assert not snap.entails(0, C("X = a"))
+        assert snap.memory is base.memory and snap.scopes is base.scopes
+        snap.add_constraint(0, C("X = a"))
+        assert snap.memory is not base.memory
+
+    def test_siblings_and_merge_leave_every_snapshot_as_it_was(self):
+        base = fresh("X", "Y", "Z", "N")
+        base_dump = dump_of(base)
+        s1, s2 = base.branch(), base.branch()
+        grow(s1, "a")
+        s1_dump = dump_of(s1)
+        assert dump_of(base) == base_dump
+        grow(s2, "b")
+        s2_dump = dump_of(s2)
+        assert dump_of(base) == base_dump and dump_of(s1) == s1_dump
+        assert s1_dump != s2_dump != base_dump
+        for snaps in ([s1, s2], [s2, s1]):
+            out = Store.merge(base, snaps)
+            assert out.is_consistent()
+            assert out.entails(0, C("X = [a | [b | _]]"))
+            assert dump_of(base) == base_dump
+            assert dump_of(s1) == s1_dump and dump_of(s2) == s2_dump
+
+    def test_writes_after_a_branch_stay_on_their_side(self):
+        base = fresh("X", "Y")
+        snap = base.branch()
+        nid = base.add_scope(EXISTS, 0)  # the parent writes last
+        base.add_variable(nid, "L")
+        base.add_constraint(0, C("X = a"))
+        assert not snap.entails(0, C("X = a"))
+        assert snap.counts() == {"nodes": 1, "registers": 2, "dims": 0}
+        mid = snap.branch()
+        inner = mid.branch()
+        mid.add_constraint(0, C("Y = b"))
+        assert not inner.entails(0, C("Y = b"))
+
+    def test_a_merge_that_shares_its_base_copies_before_writing(self):
+        base = fresh("X")
+        snap = base.branch()
+        snap.entails(0, C("X = a"))
+        out = Store.merge(base, [snap])
+        base_dump = dump_of(base)
+        out.add_constraint(0, C("X = a"))
+        out.add_scope(EXISTS, 0)
+        assert dump_of(base) == base_dump
+        assert out.entails(0, C("X = a"))
+
+
 # ------------------------------------------------------- long streams
 
 LONG = 3000  # cells per stream: far past Python's default recursion limit
