@@ -147,7 +147,10 @@ def execute(program, agent, scope, snap, policy, rng):
 
 
 def step(config, policy, rng):
-    """Advance one instant. Returns (moved, new config)."""
+    """Advance one instant. Returns (moved, new config).
+
+    A committed instant seals its store into the base that it shares with
+    config.store, which is then no longer valid (see `tccp.store`)."""
     if config.status != RUNNING:
         return False, config
     base = config.store
@@ -175,8 +178,9 @@ def step(config, policy, rng):
 
 
 def _trace_step(config):
+    # the store is copied: the next instant's seal() changes its base
     agents = tuple(pretty_agent(t.agent) for t in config.active)
-    return TraceStep(config.clock, RUNNING, config.store, agents)
+    return TraceStep(config.clock, RUNNING, config.store.frozen(), agents)
 
 
 def run(program, steps, policy=None, seed=None, every=1):

@@ -54,11 +54,15 @@ class OracleState:
         return t
 
     def occurs(self, name, t):
-        t = self.walk(t)
-        if isinstance(t, ast.Var):
-            return t.name == name
-        if isinstance(t, ast.Cons):
-            return self.occurs(name, t.head) or self.occurs(name, t.tail)
+        stack = [t]
+        while stack:
+            t = self.walk(stack.pop())
+            if isinstance(t, ast.Var):
+                if t.name == name:
+                    return True
+            elif isinstance(t, ast.Cons):
+                stack.append(t.tail)
+                stack.append(t.head)
         return False
 
     def instantiate(self, t):
@@ -86,39 +90,36 @@ class OracleState:
     # ------------------------------------------------------------- tells
 
     def unify(self, t1, t2):
-        if self.false:
-            return
-        a, b = self.walk(t1), self.walk(t2)
-        if isinstance(a, ast.Var) and isinstance(b, ast.Var) and a.name == b.name:
-            return
-        if isinstance(a, ast.Var) and a.name not in self.dims:
-            if self.occurs(a.name, b):
-                self.false = True
+        """Tell t1 = t2. Pairs wait on a stack, heads before tails, so the
+        effects come in the order of a left-to-right walk."""
+        stack = [(t1, t2)]
+        while stack and not self.false:
+            t1, t2 = stack.pop()
+            a, b = self.walk(t1), self.walk(t2)
+            if isinstance(a, ast.Var) and isinstance(b, ast.Var) \
+                    and a.name == b.name:
+                continue
+            if isinstance(a, ast.Var) and a.name not in self.dims:
+                if self.occurs(a.name, b):
+                    self.false = True
+                else:
+                    self.subst[a.name] = b
+            elif isinstance(b, ast.Var) and b.name not in self.dims:
+                if self.occurs(b.name, a):
+                    self.false = True
+                else:
+                    self.subst[b.name] = a
+            elif self._numeric(a) or self._numeric(b):
+                self._unify_numeric(a, b)
+            elif isinstance(a, ast.Num) and isinstance(b, ast.Num):
+                self.false = a.value != b.value
+            elif isinstance(a, ast.Atom) and isinstance(b, ast.Atom):
+                self.false = a.name != b.name
+            elif isinstance(a, ast.Cons) and isinstance(b, ast.Cons):
+                stack.append((a.tail, b.tail))
+                stack.append((a.head, b.head))
             else:
-                self.subst[a.name] = b
-            return
-        if isinstance(b, ast.Var) and b.name not in self.dims:
-            if self.occurs(b.name, a):
                 self.false = True
-            else:
-                self.subst[b.name] = a
-            return
-        if self._numeric(a) or self._numeric(b):
-            self._unify_numeric(a, b)
-            return
-        if isinstance(a, ast.Num) and isinstance(b, ast.Num):
-            if a.value != b.value:
-                self.false = True
-            return
-        if isinstance(a, ast.Atom) and isinstance(b, ast.Atom):
-            if a.name != b.name:
-                self.false = True
-            return
-        if isinstance(a, ast.Cons) and isinstance(b, ast.Cons):
-            self.unify(a.head, b.head)
-            self.unify(a.tail, b.tail)
-            return
-        self.false = True
 
     def _unify_numeric(self, a, b):
         if self._numeric(a) and self._numeric(b):
@@ -197,21 +198,40 @@ class OracleState:
 
     def match(self, sval, pat):
         """One-way: does the store entail sval = pat?"""
-        if isinstance(pat, ast.Anon):
-            return True
-        if isinstance(pat, ast.Var):
-            return self.entailed_eq(sval, self.walk(pat))
-        if isinstance(pat, (ast.Atom, ast.Num)):
-            return self.entailed_eq(sval, pat)
-        if isinstance(pat, ast.Cons):
-            if not isinstance(sval, ast.Cons):
-                return False
-            return (self.match(self.walk(sval.head), pat.head)
-                    and self.match(self.walk(sval.tail), pat.tail))
-        raise TypeError(f"bad term: {pat!r}")
+        stack = [(sval, pat)]
+        while stack:
+            sval, pat = stack.pop()
+            if isinstance(pat, ast.Anon):
+                continue
+            if isinstance(pat, ast.Var):
+                if not self.entailed_eq(sval, self.walk(pat)):
+                    return False
+            elif isinstance(pat, (ast.Atom, ast.Num)):
+                if not self.entailed_eq(sval, pat):
+                    return False
+            elif isinstance(pat, ast.Cons):
+                if not isinstance(sval, ast.Cons):
+                    return False
+                stack.append((self.walk(sval.tail), pat.tail))
+                stack.append((self.walk(sval.head), pat.head))
+            else:
+                raise TypeError(f"bad term: {pat!r}")
+        return True
 
     def entailed_eq(self, a, b):
         """Entailed equality of two walked store terms."""
+        stack = [(a, b)]
+        while stack:
+            a, b = stack.pop()
+            if isinstance(a, ast.Cons) and isinstance(b, ast.Cons):
+                stack.append((self.walk(a.tail), self.walk(b.tail)))
+                stack.append((self.walk(a.head), self.walk(b.head)))
+            elif not self._leaf_entailed(a, b):
+                return False
+        return True
+
+    def _leaf_entailed(self, a, b):
+        """entailed_eq for two walked terms that are not both cons cells."""
         if isinstance(a, ast.Var) and isinstance(b, ast.Var) and a.name == b.name:
             return True
         if self._numeric(a) or self._numeric(b):
@@ -224,15 +244,10 @@ class OracleState:
                 return False
             dim = self.dims[a.name] if self._numeric(a) else self.dims[b.name]
             return ls_entails(self.lin, row("=", {dim: Fraction(1)}, -num.value))
-        if isinstance(a, ast.Var) or isinstance(b, ast.Var):
-            return False
         if isinstance(a, ast.Num) and isinstance(b, ast.Num):
             return a.value == b.value
         if isinstance(a, ast.Atom) and isinstance(b, ast.Atom):
             return a.name == b.name
-        if isinstance(a, ast.Cons) and isinstance(b, ast.Cons):
-            return (self.entailed_eq(self.walk(a.head), self.walk(b.head))
-                    and self.entailed_eq(self.walk(a.tail), self.walk(b.tail)))
         return False
 
 

@@ -11,13 +11,22 @@ become DiscreteVar cells pointing at linear-store dimensions; dimensions
 are allocated lazily, on first use in a linear constraint.
 
 Stores are stepped through snapshots: each thread of one time instant
-executes on its own branch, all branches sharing one allocator so that
-register, node and dimension indices stay disjoint and survive the merge
-verbatim. A branch shares its parent's register and scope lists and
-copies them before its first write (copy on write), so a thread that
-only asks copies nothing. Merging replays each branch's write log onto
-the base through unification; a clash (atom vs number, structure vs
-numeric, occurs cycle) latches the whole store inconsistent.
+executes on its own branch. Every store of one run shares one `Base`:
+the allocation counters, which keep register, node and dimension indices
+disjoint so that they survive the merge verbatim, and the base lists of
+registers and scope nodes. Each store adds its own delta: the registers
+it wrote, the scope nodes it created, and its copies of older nodes that
+gained symbols. Reads look in the delta first, then in the base.
+Branching copies the delta only, so it costs O(this instant's changes),
+not O(store). Merging replays each branch's writes onto a branch of the
+base through unification; a clash (atom vs number, structure vs numeric,
+occurs cycle) latches the whole store inconsistent.
+
+Only `seal()` writes the base lists: it folds the delta into them in
+place, again in O(this instant's changes), and so invalidates every
+other store over the same base, the sealed store's own ancestors and
+siblings included. A store that must outlive the next seal is copied
+first with `frozen()`, which costs O(store).
 """
 
 from fractions import Fraction
@@ -67,19 +76,25 @@ def _leaf_rule(ca, cb):
     return False
 
 
-class Allocator:
-    """Run-global counters; shared by every snapshot of one computation."""
+class Base:
+    """What every store of one run shares: the counters that keep register,
+    node and dimension indices disjoint, and the register and scope-node
+    lists that `seal()` grows in place."""
 
-    __slots__ = ("next_cell", "next_node", "next_dim")
+    __slots__ = ("memory", "scopes", "next_cell", "next_node", "next_dim")
 
     def __init__(self):
+        self.memory = []
+        self.scopes = []
         self.next_cell = 0
         self.next_node = 0
         self.next_dim = 0
 
 
 class ScopeNode:
-    __slots__ = ("id", "parent", "kind", "label", "symbols")
+    # `shared` once a second store can see the node: from then on a store
+    # that adds a symbol changes a copy of its own
+    __slots__ = ("id", "parent", "kind", "label", "symbols", "shared")
 
     def __init__(self, id, parent, kind, label=""):
         self.id = id
@@ -87,24 +102,73 @@ class ScopeNode:
         self.kind = kind
         self.label = label
         self.symbols = {}
+        self.shared = False
+
+    def copy(self):
+        node = ScopeNode(self.id, self.parent, self.kind, self.label)
+        node.symbols = dict(self.symbols)
+        return node
+
+
+def _overlaid(base, delta, size):
+    """The delta over the base, `size` slots long, with None where neither
+    holds a value; base itself when that is all there is."""
+    if not delta and len(base) == size:
+        return base
+    out = list(base[:size])
+    out.extend([None] * (size - len(out)))
+    for i, x in delta.items():
+        out[i] = x
+    return out
+
+
+def _fold(base, delta, size):
+    """Write the delta into the base list in place."""
+    base.extend([None] * (size - len(base)))
+    for i, x in delta.items():
+        base[i] = x
+
+
+class Layer:
+    """Read-only view of one array of a store (`memory` or `scopes`), as
+    far as the store sees it; a slot that a sibling allocated is None."""
+
+    __slots__ = ("base", "delta", "size")
+
+    def __init__(self, base, delta, size):
+        self.base = base
+        self.delta = delta
+        self.size = size
+
+    def __len__(self):
+        return self.size
+
+    def __getitem__(self, i):
+        if not 0 <= i < self.size:
+            raise IndexError(i)
+        x = self.delta.get(i)
+        if x is None and i < len(self.base):
+            x = self.base[i]
+        return x
 
 
 class Store:
-    """One value of the store; snapshots are branches sharing the allocator."""
+    """One value of the store: a delta over the base that it shares with
+    every other store of its run (see the module docstring)."""
 
-    __slots__ = ("alloc", "scopes", "memory", "owned", "lin", "step_false",
-                 "write_log", "new_nodes")
+    __slots__ = ("base", "write_log", "node_log", "n_cells", "n_nodes",
+                 "lin", "step_false")
 
-    def __init__(self, alloc=None):
-        self.alloc = alloc or Allocator()
-        self.scopes = []
-        self.memory = []
-        # False while `scopes` and `memory` may be shared with another store
-        self.owned = True
+    def __init__(self):
+        self.base = Base()
+        self.write_log = {}  # register index -> cell, written since the seal
+        self.node_log = {}  # node id -> node, made or changed since the seal
+        # lengths of memory and scopes as this store sees them, counting
+        # slots that only a sibling filled
+        self.n_cells = 0
+        self.n_nodes = 0
         self.lin = ls_new()
         self.step_false = False
-        self.write_log = {}
-        self.new_nodes = []
 
     @staticmethod
     def new():
@@ -112,63 +176,103 @@ class Store:
         s.add_scope(ROOT, None)
         return s
 
+    @property
+    def memory(self):
+        return Layer(self.base.memory, self.write_log, self.n_cells)
+
+    @property
+    def scopes(self):
+        return Layer(self.base.scopes, self.node_log, self.n_nodes)
+
     # ------------------------------------------------------------ branches
 
     def branch(self):
-        """Snapshot for one thread/agent of the current instant.
-
-        The snapshot shares this store's lists; whichever of the two
-        writes first copies them (`_unshare`)."""
-        s = Store(self.alloc)
-        s.scopes = self.scopes
-        s.memory = self.memory
-        s.owned = self.owned = False
+        """Snapshot for one thread/agent of the current instant: this
+        store's delta over the same base, O(delta). The two sides share
+        the delta's nodes, so both copy a node before changing it, and
+        later writes on either side stay there."""
+        nodes = self.node_log
+        if nodes:
+            for node in nodes.values():
+                node.shared = True
+        s = Store.__new__(Store)
+        s.base = self.base
+        s.write_log = self.write_log.copy()
+        s.node_log = nodes.copy()
+        s.n_cells = self.n_cells
+        s.n_nodes = self.n_nodes
         s.lin = self.lin
         s.step_false = self.step_false
         return s
 
     def seal(self):
-        """Forget per-instant bookkeeping after a commit."""
+        """Fold the delta into the base lists, in place. Every other store
+        over this base reads the result from now on, so none of them is
+        valid any more; this one stays valid, with an empty delta."""
+        _fold(self.base.memory, self.write_log, self.n_cells)
+        _fold(self.base.scopes, self.node_log, self.n_nodes)
         self.write_log = {}
-        self.new_nodes = []
+        self.node_log = {}
         return self
+
+    def frozen(self):
+        """A copy that no later seal changes: O(store). It reads like this
+        store, over a base of its own that cannot be sealed."""
+        s = self.branch()
+        base = s.base = Base()
+        base.memory = tuple(_overlaid(self.base.memory, self.write_log,
+                                      self.n_cells))
+        base.scopes = tuple(_overlaid(self.base.scopes, self.node_log,
+                                      self.n_nodes))
+        base.next_cell = self.base.next_cell
+        base.next_node = self.base.next_node
+        base.next_dim = self.base.next_dim
+        s.write_log = {}
+        s.node_log = {}
+        return s
 
     # ----------------------------------------------------------- low level
 
-    def _unshare(self):
-        """Take private copies of the lists before the first write."""
-        if not self.owned:
-            self.scopes = list(self.scopes)
-            self.memory = list(self.memory)
-            self.owned = True
+    def _cell(self, idx):
+        return self.write_log.get(idx) or self.base.memory[idx]
+
+    def _node(self, nid):
+        return self.node_log.get(nid) or self.base.scopes[nid]
+
+    def _own_node(self, nid):
+        """Node nid, to change: a node of the base, or one that another
+        store can see, is copied into the delta first."""
+        node = self.node_log.get(nid)
+        if node is None or node.shared:
+            node = self.node_log[nid] = self._node(nid).copy()
+        return node
 
     def _set(self, idx, cell):
-        self._unshare()
-        if idx >= len(self.memory):
-            self.memory.extend([None] * (idx + 1 - len(self.memory)))
-        self.memory[idx] = cell
         self.write_log[idx] = cell
+        if idx >= self.n_cells:
+            self.n_cells = idx + 1
 
     def _alloc_cell(self, cell):
-        idx = self.alloc.next_cell
-        self.alloc.next_cell += 1
+        idx = self.base.next_cell
+        self.base.next_cell += 1
         self._set(idx, cell)
         return idx
 
     def _alloc_dim(self):
-        d = self.alloc.next_dim
-        self.alloc.next_dim += 1
+        d = self.base.next_dim
+        self.base.next_dim += 1
         self.lin = ls_grow(self.lin, d + 1)
         return d
 
     def _add_row(self, r):
-        self.lin = ls_add(ls_grow(self.lin, self.alloc.next_dim), r)
+        self.lin = ls_add(ls_grow(self.lin, self.base.next_dim), r)
 
     def deref(self, idx):
-        cell = self.memory[idx]
+        log, memory = self.write_log, self.base.memory
+        cell = log.get(idx) or memory[idx]
         while cell is not None and cell[0] == "ref":
             idx = cell[1]
-            cell = self.memory[idx]
+            cell = log.get(idx) or memory[idx]
         return idx
 
     def _reaches(self, stack, target, scope_id=None):
@@ -189,7 +293,7 @@ class Store:
                 if x in seen:
                     continue
                 seen.add(x)
-                x = self.memory[x]
+                x = self._cell(x)
             if not isinstance(x, tuple):
                 continue  # an atom, a number, `_` or a hole in memory
             if x[0] == "ref":
@@ -202,18 +306,15 @@ class Store:
     # ------------------------------------------------------------- scopes
 
     def add_scope(self, kind, parent, label=""):
-        nid = self.alloc.next_node
-        self.alloc.next_node += 1
-        node = ScopeNode(nid, parent, kind, label)
-        self._unshare()
-        if nid >= len(self.scopes):
-            self.scopes.extend([None] * (nid + 1 - len(self.scopes)))
-        self.scopes[nid] = node
-        self.new_nodes.append(nid)
+        nid = self.base.next_node
+        self.base.next_node += 1
+        self.node_log[nid] = ScopeNode(nid, parent, kind, label)
+        if nid >= self.n_nodes:
+            self.n_nodes = nid + 1
         return nid
 
     def add_variable(self, scope_id, name):
-        node = self.scopes[scope_id]
+        node = self._own_node(scope_id)
         if name in node.symbols:
             raise DuplicateInScopeError(name)
         idx = self._alloc_cell(UNBOUND)
@@ -221,9 +322,10 @@ class Store:
         return idx
 
     def lookup(self, scope_id, name):
+        log, scopes = self.node_log, self.base.scopes
         nid = scope_id
         while nid is not None:
-            node = self.scopes[nid]
+            node = log.get(nid) or scopes[nid]
             if name in node.symbols:
                 return node.symbols[name]
             if node.kind == PROC_CALL:
@@ -233,7 +335,7 @@ class Store:
 
     def add_parameter(self, scope_id, formal, actual, caller_scope):
         """Link one formal of a fresh call node to its actual."""
-        node = self.scopes[scope_id]
+        node = self._own_node(scope_id)
         if formal in node.symbols:
             raise DuplicateInScopeError(formal)
         if isinstance(actual, ast.Var):
@@ -282,7 +384,7 @@ class Store:
             elif isinstance(t, (ast.Atom, ast.Num)):
                 t = const_cell(t.name if isinstance(t, ast.Atom) else t.value)
             a = self.deref(i)
-            ca = self.memory[a]
+            ca = self._cell(a)
             if isinstance(t, ast.Cons):
                 if ca == UNBOUND:
                     if self._reaches([t], a, scope_id):
@@ -302,7 +404,7 @@ class Store:
                 b = self.deref(t)
                 if a == b:
                     continue
-                t = self.memory[b]
+                t = self._cell(b)
             if ca == UNBOUND:
                 if b is not None and t == UNBOUND:
                     self._set(max(a, b), ref_cell(min(a, b)))
@@ -348,7 +450,7 @@ class Store:
             elif isinstance(t, (ast.Atom, ast.Num)):
                 t = const_cell(t.name if isinstance(t, ast.Atom) else t.value)
             a = self.deref(i)
-            ca = self.memory[a]
+            ca = self._cell(a)
             if isinstance(t, ast.Cons):
                 if ca[0] != "functor":
                     return False
@@ -359,7 +461,7 @@ class Store:
                 b = self.deref(t)
                 if a == b:
                     continue
-                t = self.memory[b]
+                t = self._cell(b)
             if ca[0] == "functor" and t[0] == "functor":  # t is cell b's value
                 key = (a, b) if a < b else (b, a)
                 if key not in seen:
@@ -381,7 +483,7 @@ class Store:
         const = Fraction(e.const)
         for name, c in e.coeffs:
             idx = self.deref(self.lookup(scope_id, name))
-            cell = self.memory[idx]
+            cell = self._cell(idx)
             if cell == UNBOUND:
                 if not allocate:
                     return None
@@ -435,16 +537,15 @@ class Store:
 
     @staticmethod
     def merge(base, locals_):
-        """Commit sibling snapshots of one instant onto their base.
+        """Commit sibling snapshots of one instant onto a branch of their
+        base, which it returns; base and snapshots stay as they were.
 
         Scope-tree growth survives even when a sibling's constraints clash;
         constraint content is the least upper bound, with stream clashes
         latching inconsistency.
         """
         out = base.branch()
-        out.write_log = dict(base.write_log)
-        out.new_nodes = list(base.new_nodes)
-        base_len = len(base.memory)
+        base_log, base_len = base.write_log, base.n_cells
         logs = []
         for snap in locals_:
             out.step_false = out.step_false or snap.step_false
@@ -452,15 +553,19 @@ class Store:
             # sibling that told none
             if snap.lin is not base.lin:
                 out.lin = ls_meet(out.lin, snap.lin)
-            if snap.new_nodes:
-                out._unshare()
-            for nid in snap.new_nodes:
-                node = snap.scopes[nid]
-                if nid >= len(out.scopes):
-                    out.scopes.extend([None] * (nid + 1 - len(out.scopes)))
-                out.scopes[nid] = node
-                out.new_nodes.append(nid)
-            logs.append(sorted(snap.write_log.items()))
+            for nid, node in snap.node_log.items():
+                if base.node_log.get(nid) is node:
+                    continue  # inherited from base, unchanged
+                if nid < base.n_nodes:  # an older node that gained symbols
+                    out._own_node(nid).symbols.update(node.symbols)
+                else:  # created by the snapshot
+                    node.shared = True
+                    out.node_log[nid] = node
+                    out.n_nodes = max(out.n_nodes, nid + 1)
+            # the snapshot's own writes: what it holds beyond base's delta
+            logs.append(sorted((idx, cell)
+                               for idx, cell in snap.write_log.items()
+                               if base_log.get(idx) is not cell))
         for log in logs:  # creations first: indices are disjoint by allocator
             for idx, cell in log:
                 if idx >= base_len:
@@ -474,21 +579,26 @@ class Store:
     # --------------------------------------------------------------- dump
 
     def counts(self):
-        return {"nodes": len(self.scopes), "registers": len(self.memory),
+        return {"nodes": self.n_nodes, "registers": self.n_cells,
                 "dims": self.lin.dims}
 
     def dump(self):
+        """The store as `docs/trace.md` describes it; a slot that only a
+        sibling snapshot allocated is rendered as null."""
         scopes = []
-        for node in self.scopes:
-            scopes.append({
+        for node in _overlaid(self.base.scopes, self.node_log, self.n_nodes):
+            scopes.append(None if node is None else {
                 "id": node.id,
                 "parent": node.parent,
                 "kind": node.kind,
                 "label": node.label,
-                "symbols": {k: v for k, v in node.symbols.items()},
+                "symbols": dict(node.symbols),
             })
         memory = []
-        for cell in self.memory:
+        for cell in _overlaid(self.base.memory, self.write_log, self.n_cells):
+            if cell is None:
+                memory.append(None)
+                continue
             kind = cell[0]
             if kind == "unbound":
                 memory.append({"kind": "unbound"})
@@ -504,8 +614,8 @@ class Store:
                 memory.append({"kind": "functor", "head": cell[1]})
         return {
             "consistent": self.is_consistent(),
-            "nodes": len(self.scopes),
-            "registers": len(self.memory),
+            "nodes": self.n_nodes,
+            "registers": self.n_cells,
             "dims": self.lin.dims,
             "scopes": scopes,
             "memory": memory,

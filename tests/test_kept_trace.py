@@ -1,8 +1,10 @@
 """`run(..., every=M)` keeps only the trace steps that `--dump-every M`
 prints, stores taken during a run never change afterwards, and a run that
 keeps only its final step holds far less memory than one that keeps all.
+One sha256 pins the jsonl bytes of the generated programs' full traces.
 """
 
+import hashlib
 import json
 import random
 import tracemalloc
@@ -12,6 +14,7 @@ from importlib import resources
 import pytest
 
 from tccp import interp
+from tccp.cli import _jsonl_line
 from tccp.interp import ChoicePolicy, run
 from tccp.parser import parse_program
 from support import ProgramGen
@@ -135,3 +138,19 @@ def test_keeping_only_the_final_step_needs_a_quarter_of_the_memory(
 
     full, final_only = peak(1), peak(0)
     assert final_only < full / 4, (final_only, full)
+
+
+GENERATED_JSONL_SHA256 = (
+    "e7526dc8014f9d666f9505a1e9af9b6a0e19728d808a0ec69266ff60e730bf9d")
+
+
+def test_generated_jsonl_bytes_are_pinned(generated):
+    """One sha256 over the full jsonl traces (12 instants, every instant)
+    of the 220 generated programs under each policy: the store's output,
+    byte for byte, on a few thousand small instants."""
+    h = hashlib.sha256()
+    for kind in POLICIES:
+        for i, program in enumerate(generated):
+            for el in run(program, 12, policy=policy_of(kind, i)):
+                h.update(_jsonl_line(el).encode() + b"\n")
+    assert h.hexdigest() == GENERATED_JSONL_SHA256

@@ -67,3 +67,17 @@ class TestPhotocopier:
     def test_twelve_instants_under_first_policy(self, program):
         m, o = agree(program, 12, policy=ChoicePolicy("first"))
         assert m == o
+
+
+class TestLongStreams:
+    def test_two_streams_of_twelve_hundred_cells(self):
+        # each instant adds one cell to each stream; the probes then walk
+        # both streams, far past Python's default recursion limit
+        program = parse_program(
+            "gen(S) :- exists T (tell(S = [a | T]) || gen(T)).",
+            entry="gen(A) || gen(B)")
+        probes = probe_set(program)
+        m = machine_observables(run(program, 1200, every=0), probes)
+        o = oracle_observables(o_run(program, 1200)[-1:], probes)
+        assert m[0][:2] == (1200, "running")
+        assert m == o

@@ -3,6 +3,7 @@ behavior of the global store."""
 
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -255,7 +256,7 @@ class TestEntails:
         st.add_constraint(0, C("X = [on | T]"))
         st.add_constraint(0, C("Y = 3"))
         before = json.dumps(st.dump(), sort_keys=True)
-        counters = (st.alloc.next_cell, st.alloc.next_node, st.alloc.next_dim)
+        counters = (st.base.next_cell, st.base.next_node, st.base.next_dim)
         for probe in ("X = [on | _]", "X = [off | _]", "Y > 1", "Y = 9",
                       "T = a", "X = Y", "Z' + Y = 3"):
             try:
@@ -263,7 +264,7 @@ class TestEntails:
             except UnknownSymbolError:
                 pass
         assert json.dumps(st.dump(), sort_keys=True) == before
-        assert (st.alloc.next_cell, st.alloc.next_node, st.alloc.next_dim) == counters
+        assert (st.base.next_cell, st.base.next_node, st.base.next_dim) == counters
 
     def test_rational_values_round_trip_in_dump(self):
         st = Store.new()
@@ -378,21 +379,11 @@ class TestSnapshots:
         snap = base.branch()
         snap.add_constraint(0, C("X = a"))
         out = Store.merge(base, [snap]).seal()
-        assert out.write_log == {} and out.new_nodes == []
+        assert out.write_log == {} and out.node_log == {}
         assert out.entails(0, C("X = a"))
 
 
-# ---------------------------------------------------- copy on write
-
-def dump_of(st):
-    """What `dump()` shows, also for a snapshot whose lists have holes
-    where a sibling allocated."""
-    scopes = [None if n is None else
-              (n.id, n.parent, n.kind, n.label, sorted(n.symbols.items()))
-              for n in st.scopes]
-    return repr((st.is_consistent(), scopes, st.memory, st.lin.dims,
-                 st.lin.rows))
-
+# ------------------------------------------------- snapshot isolation
 
 def grow(st, tag):
     """Tell cells, add a scope with variables and a call with parameters."""
@@ -409,32 +400,65 @@ def grow(st, tag):
     st.add_parameter(call, "G", parse_constraint("Z = Y + 3").lhs, 0)
 
 
+def wide(registers):
+    """A sealed store with X among `registers` unbound registers."""
+    st = fresh("X")
+    for k in range(registers - 1):
+        st.add_variable(0, f"V{k}")
+    return st.seal()
+
+
+def branch_and_tell_bytes(base, c):
+    """Bytes allocated by branching base and telling c on the branch."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        snap = base.branch()
+        snap.add_constraint(0, c)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
 class TestCopyOnWrite:
+    """Each snapshot keeps its own changes, and branching costs nothing
+    that grows with the store."""
+
     def test_an_asking_branch_copies_nothing(self):
         base = fresh("X")
+        base_dump = base.dump()
         snap = base.branch()
         assert not snap.entails(0, C("X = a"))
-        assert snap.memory is base.memory and snap.scopes is base.scopes
         snap.add_constraint(0, C("X = a"))
-        assert snap.memory is not base.memory
+        assert snap.entails(0, C("X = a"))
+        assert base.dump() == base_dump
+
+    def test_a_branch_allocates_nothing_that_grows_with_its_base(self):
+        c = C("X = a")
+        small, large = wide(1000), wide(50000)
+        assert large.counts()["registers"] == 50000
+        branch_and_tell_bytes(small, c)  # warm up caches
+        small_bytes = branch_and_tell_bytes(small, c)
+        large_bytes = branch_and_tell_bytes(large, c)
+        assert large_bytes < small_bytes + 1024, (small_bytes, large_bytes)
 
     def test_siblings_and_merge_leave_every_snapshot_as_it_was(self):
         base = fresh("X", "Y", "Z", "N")
-        base_dump = dump_of(base)
+        base_dump = base.dump()
         s1, s2 = base.branch(), base.branch()
         grow(s1, "a")
-        s1_dump = dump_of(s1)
-        assert dump_of(base) == base_dump
+        s1_dump = s1.dump()
+        assert base.dump() == base_dump
         grow(s2, "b")
-        s2_dump = dump_of(s2)
-        assert dump_of(base) == base_dump and dump_of(s1) == s1_dump
+        s2_dump = s2.dump()
+        assert base.dump() == base_dump and s1.dump() == s1_dump
         assert s1_dump != s2_dump != base_dump
         for snaps in ([s1, s2], [s2, s1]):
             out = Store.merge(base, snaps)
             assert out.is_consistent()
             assert out.entails(0, C("X = [a | [b | _]]"))
-            assert dump_of(base) == base_dump
-            assert dump_of(s1) == s1_dump and dump_of(s2) == s2_dump
+            assert base.dump() == base_dump
+            assert s1.dump() == s1_dump and s2.dump() == s2_dump
 
     def test_writes_after_a_branch_stay_on_their_side(self):
         base = fresh("X", "Y")
@@ -449,15 +473,58 @@ class TestCopyOnWrite:
         mid.add_constraint(0, C("Y = b"))
         assert not inner.entails(0, C("Y = b"))
 
+    def test_a_symbol_added_on_a_branch_stays_off_its_base(self):
+        b = Store.new()
+        b.add_variable(0, "X")
+        s = b.branch()
+        s.add_variable(0, "Q")
+        assert b.dump()["scopes"][0]["symbols"] == {"X": 0}
+        with pytest.raises(UnknownSymbolError):
+            b.lookup(0, "Q")
+        out = Store.merge(b, [s])
+        assert out.dump()["scopes"][0]["symbols"] == {"X": 0, "Q": 1}
+        assert b.dump()["scopes"][0]["symbols"] == {"X": 0}
+
+    def test_a_slot_a_sibling_allocated_dumps_as_null(self):
+        base = fresh("X")
+        s1, s2 = base.branch(), base.branch()
+        n1 = s1.add_scope(EXISTS, 0)
+        s1.add_variable(n1, "L")
+        n2 = s2.add_scope(EXISTS, 0)
+        s2.add_variable(n2, "M")
+        d = s2.dump()
+        assert d["scopes"][n1] is None
+        assert d["memory"][s1.lookup(n1, "L")] is None
+        assert d["scopes"][n2]["symbols"] == {"M": s2.lookup(n2, "M")}
+        for st in (s1, s2):
+            d, counts = st.dump(), st.counts()
+            assert (d["nodes"], d["registers"], d["dims"]) == \
+                (counts["nodes"], counts["registers"], counts["dims"])
+            assert (len(d["scopes"]), len(d["memory"])) == \
+                (counts["nodes"], counts["registers"])
+
+    def test_a_frozen_copy_outlives_the_next_seal(self):
+        base = fresh("X").seal()
+        kept = base.frozen()
+        kept_dump = kept.dump()
+        snap = base.branch()
+        snap.add_variable(0, "Q")
+        snap.add_constraint(0, C("X = [a | Q]"))
+        out = Store.merge(base, [snap]).seal()
+        assert out.entails(0, C("X = [a | _]"))
+        assert out.dump()["scopes"][0]["symbols"] == {"X": 0, "Q": 1}
+        assert kept.dump() == kept_dump
+        assert not kept.entails(0, C("X = [a | _]"))
+
     def test_a_merge_that_shares_its_base_copies_before_writing(self):
         base = fresh("X")
         snap = base.branch()
         snap.entails(0, C("X = a"))
         out = Store.merge(base, [snap])
-        base_dump = dump_of(base)
+        base_dump = base.dump()
         out.add_constraint(0, C("X = a"))
         out.add_scope(EXISTS, 0)
-        assert dump_of(base) == base_dump
+        assert base.dump() == base_dump
         assert out.entails(0, C("X = a"))
 
 
