@@ -183,7 +183,7 @@ def pretty_term(t):
     if isinstance(t, Atom):
         return t.name
     if isinstance(t, Num):
-        return _pretty_fraction(t.value)
+        return pretty_num(t.value)
     if isinstance(t, Var):
         return t.name
     if isinstance(t, Anon):
@@ -193,33 +193,27 @@ def pretty_term(t):
     raise TypeError(f"not a term: {t!r}")
 
 
-def _pretty_fraction(v):
+def pretty_num(v):
+    """An integer or Fraction as `n` or `n/d`."""
     if v.denominator == 1:
         return str(v.numerator)
     return f"{v.numerator}/{v.denominator}"
 
 
 def pretty_linexpr(e):
-    parts = []
+    """`c*name` terms joined by signs, then the constant; `0` when empty."""
+    out = ""
     for name, c in e.coeffs:
-        if not parts:
-            if c == 1:
-                parts.append(name)
-            elif c == -1:
-                parts.append("-" + name)
-            else:
-                parts.append(_pretty_fraction(c) + "*" + name)
-        else:
-            sign = " + " if c > 0 else " - "
-            a = abs(c)
-            parts.append(sign + (name if a == 1 else _pretty_fraction(a) + "*" + name))
-    if e.const != 0 or not parts:
-        if not parts:
-            parts.append(_pretty_fraction(e.const))
-        else:
-            sign = " + " if e.const > 0 else " - "
-            parts.append(sign + _pretty_fraction(abs(e.const)))
-    return "".join(parts)
+        if out:
+            out += " + " if c > 0 else " - "
+        elif c < 0:
+            out += "-"
+        out += name if abs(c) == 1 else pretty_num(abs(c)) + "*" + name
+    if not out:
+        return pretty_num(e.const)
+    if e.const:
+        out += (" + " if e.const > 0 else " - ") + pretty_num(abs(e.const))
+    return out
 
 
 def pretty_constraint(c):
@@ -296,73 +290,55 @@ def pretty_program(p):
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def constraints_of_agent(a):
-    """All constraints syntactically occurring in an agent (tells, guards, conditions)."""
-    out = []
-    if isinstance(a, Tell):
-        out.append(a.constraint)
-    elif isinstance(a, Parallel):
-        for x in a.agents:
-            out.extend(constraints_of_agent(x))
-    elif isinstance(a, Choice):
-        for g, b in a.branches:
-            out.append(g)
-            out.extend(constraints_of_agent(b))
-    elif isinstance(a, Now):
-        out.append(a.cond)
-        out.extend(constraints_of_agent(a.then_agent))
-        out.extend(constraints_of_agent(a.else_agent))
-    elif isinstance(a, Exists):
-        out.extend(constraints_of_agent(a.body))
-    return out
+# ------------------------------------------------------------- traversal
+
+def _parts(x):
+    """The children of an agent, constraint or term, in text order."""
+    if isinstance(x, Tell):
+        return (x.constraint,)
+    if isinstance(x, Parallel):
+        return x.agents
+    if isinstance(x, Choice):
+        return [part for branch in x.branches for part in branch]
+    if isinstance(x, Now):
+        return (x.cond, x.then_agent, x.else_agent)
+    if isinstance(x, Exists):
+        return (x.body,)
+    if isinstance(x, Call):
+        return x.actuals
+    if isinstance(x, StreamEq):
+        return (Var(x.var), x.rhs)
+    if isinstance(x, Linear):
+        return (x.lhs, x.rhs)
+    if isinstance(x, Cons):
+        return (x.head, x.tail)
+    return ()
 
 
-def term_vars(t):
-    if isinstance(t, Var):
-        return {t.name}
-    if isinstance(t, Cons):
-        return term_vars(t.head) | term_vars(t.tail)
-    return set()
+def walk(x):
+    """Yield every node under an agent, constraint or term as (node, bound):
+    x first, in text order, where bound is the set of names bound by the
+    enclosing exists agents. Walks with an explicit stack, so nesting depth
+    is not limited by recursion."""
+    stack = [(x, frozenset())]
+    while stack:
+        node, bound = stack.pop()
+        yield node, bound
+        if isinstance(node, Exists):
+            bound = bound | set(node.vars)
+        stack.extend((part, bound) for part in reversed(_parts(node)))
 
 
-def constraint_vars(c):
-    if isinstance(c, CTrue):
-        return set()
-    if isinstance(c, StreamEq):
-        return {c.var} | term_vars(c.rhs)
-    if isinstance(c, Linear):
-        return set(c.lhs.variables()) | set(c.rhs.variables())
-    raise TypeError(f"not a constraint: {c!r}")
-
-
-def agent_free_vars(a):
-    """Variables an agent uses that no enclosing exists binds."""
-    if isinstance(a, (Skip,)):
-        return set()
-    if isinstance(a, Tell):
-        return constraint_vars(a.constraint)
-    if isinstance(a, Parallel):
-        out = set()
-        for x in a.agents:
-            out |= agent_free_vars(x)
-        return out
-    if isinstance(a, Choice):
-        out = set()
-        for g, b in a.branches:
-            out |= constraint_vars(g) | agent_free_vars(b)
-        return out
-    if isinstance(a, Now):
-        return (constraint_vars(a.cond)
-                | agent_free_vars(a.then_agent)
-                | agent_free_vars(a.else_agent))
-    if isinstance(a, Exists):
-        return agent_free_vars(a.body) - set(a.vars)
-    if isinstance(a, Call):
-        out = set()
-        for x in a.actuals:
-            if isinstance(x, Var):
-                out.add(x.name)
-            elif isinstance(x, LinExpr):
-                out |= set(x.variables())
-        return out
-    raise TypeError(f"not an agent: {a!r}")
+def free_vars(x):
+    """The names x uses that no enclosing exists binds, in first-occurrence
+    order."""
+    out = {}
+    for node, bound in walk(x):
+        if isinstance(node, Var):
+            names = (node.name,)
+        elif isinstance(node, LinExpr):
+            names = node.variables()
+        else:
+            continue
+        out.update((n, None) for n in names if n not in bound)
+    return tuple(out)

@@ -29,12 +29,10 @@ class NestingTooDeepError(TccpError):
 class UnboundVariableError(TccpError):
     """A declaration body uses a variable that is neither a formal nor exists-bound."""
 
-    def __init__(self, name, decl, line=0, col=0):
+    def __init__(self, name, decl):
         self.name = name
         self.decl = decl
-        self.line = line
-        self.col = col
-        super().__init__(f"{line}:{col}: unbound variable {name} in declaration {decl}")
+        super().__init__(f"unbound variable {name} in declaration {decl}")
 
 
 class ArityError(TccpError):

@@ -25,6 +25,8 @@ run ends quiescent and the store stays as it was.
 
 import random
 from dataclasses import dataclass, replace
+from itertools import repeat
+from typing import NamedTuple
 
 from . import ast
 from .ast import pretty_agent
@@ -33,8 +35,7 @@ from .store import EXISTS, PROC_CALL, Store
 RUNNING, QUIESCENT, FAILED = "running", "quiescent", "failed"
 
 
-@dataclass(frozen=True)
-class Thread:
+class Thread(NamedTuple):
     agent: object
     scope: int
 
@@ -117,18 +118,9 @@ def execute(program, agent, scope, snap, policy, rng):
         return snap, threads, True
 
     if isinstance(agent, ast.Parallel):
-        # merge the snapshots execute() returns, not the ones we handed
-        # out: a nested parallel child hands back a fresh merged store
-        results = []
-        threads = []
-        moved = False
-        for child in agent.agents:
-            res, th, mv = execute(program, child, scope, snap.branch(),
-                                  policy, rng)
-            results.append(res)
-            threads.extend(th)
-            moved = moved or mv
-        return Store.merge(snap, results), threads, moved
+        snaps, threads, moved = _run_threads(
+            program, zip(agent.agents, repeat(scope)), snap, policy, rng)
+        return Store.merge(snap, snaps), threads, moved
 
     if isinstance(agent, ast.Exists):
         nid = snap.add_scope(EXISTS, scope)
@@ -146,6 +138,25 @@ def execute(program, agent, scope, snap, policy, rng):
     raise TypeError(f"bad agent: {agent!r}")
 
 
+def _run_threads(program, pairs, store, policy, rng):
+    """Execute each (agent, scope) pair on its own branch of store.
+
+    Returns (snapshots, continuation threads, moved). The snapshots are
+    the ones execute() returns, not the branches handed out: a nested
+    parallel hands back a fresh merged store.
+    """
+    snaps = []
+    continued = []
+    moved = False
+    for agent, scope in pairs:
+        snap, th, mv = execute(program, agent, scope, store.branch(),
+                               policy, rng)
+        snaps.append(snap)
+        continued.extend(th)
+        moved = moved or mv
+    return snaps, continued, moved
+
+
 def step(config, policy, rng):
     """Advance one instant. Returns (moved, new config).
 
@@ -154,16 +165,8 @@ def step(config, policy, rng):
     if config.status != RUNNING:
         return False, config
     base = config.store
-    snaps = []
-    threads = []
-    moved = False
-    for t in config.active:
-        snap = base.branch()
-        snap, th, mv = execute(config.program, t.agent, t.scope, snap,
-                               policy, rng)
-        snaps.append(snap)
-        threads.extend(th)
-        moved = moved or mv
+    snaps, threads, moved = _run_threads(config.program, config.active,
+                                         base, policy, rng)
     if not moved:
         return False, replace(config, status=QUIESCENT)
     store = Store.merge(base, snaps).seal()

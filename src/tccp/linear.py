@@ -21,6 +21,7 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd
 
+from .ast import LinExpr, pretty_linexpr
 from .errors import DimensionMismatchError, UnallocatedDimensionError
 
 # canonical row: (op, ((dim, int_coef), ...), int_const) meaning expr op 0
@@ -446,28 +447,10 @@ def ls_project(s, dim):
 
 # ------------------------------------------------------------------ dump
 
-def _render_term(d, c, first):
-    name = f"D_{d}"
-    if first:
-        if c == 1:
-            return name
-        if c == -1:
-            return "-" + name
-        return f"{c}*{name}"
-    sign = " + " if c > 0 else " - "
-    a = abs(c)
-    return sign + (name if a == 1 else f"{a}*{name}")
-
-
 def dump_row(r):
     op, coeffs, const = r
-    lhs = ""
-    for i, (d, c) in enumerate(coeffs):
-        lhs += _render_term(d, c, i == 0)
-    if not coeffs:
-        lhs = "0"
-    sym = {"=": "=", "<=": "<=", "<": "<"}[op]
-    return f"{lhs} {sym} {-const}"
+    lhs = pretty_linexpr(LinExpr(tuple((f"D_{d}", c) for d, c in coeffs)))
+    return f"{lhs} {op} {-const}"
 
 
 def dump_lin(s):

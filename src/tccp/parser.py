@@ -9,7 +9,7 @@ from fractions import Fraction
 
 from .ast import (
     Anon, Atom, Call, Choice, Cons, CTrue, Decl, Exists, LinExpr, Linear,
-    Now, Num, Parallel, Program, Skip, StreamEq, Tell, Var,
+    Now, Num, Parallel, Program, Skip, StreamEq, Tell, Var, free_vars, walk,
 )
 from .errors import (
     ArityError, DuplicateDeclarationError, NestingTooDeepError,
@@ -124,6 +124,14 @@ class _Parser:
         t = self.peek()
         raise TccpSyntaxError(t.line, t.col, expected, t.value)
 
+    def comma_list(self, item):
+        """`item { "," item }`, where item() parses one element."""
+        items = [item()]
+        while self.peek().kind == ",":
+            self.next()
+            items.append(item())
+        return items
+
     # -------------------------------------------------------- programs
 
     def program(self):
@@ -137,10 +145,7 @@ class _Parser:
         formals = []
         if self.peek().kind == "(":
             self.next()
-            formals.append(self.expect("VAR").value)
-            while self.peek().kind == ",":
-                self.next()
-                formals.append(self.expect("VAR").value)
+            formals = self.comma_list(lambda: self.expect("VAR").value)
             self.expect(")")
         if len(set(formals)) != len(formals):
             raise TccpSyntaxError(self.peek().line, self.peek().col,
@@ -226,10 +231,7 @@ class _Parser:
 
     def exists_agent(self):
         self.expect("exists")
-        names = [self.expect("VAR").value]
-        while self.peek().kind == ",":
-            self.next()
-            names.append(self.expect("VAR").value)
+        names = self.comma_list(lambda: self.expect("VAR").value)
         if len(set(names)) != len(names):
             t = self.peek()
             raise TccpSyntaxError(t.line, t.col, "distinct local variables", names)
@@ -243,10 +245,7 @@ class _Parser:
         actuals = []
         if self.peek().kind == "(":
             self.next()
-            actuals.append(self.actual())
-            while self.peek().kind == ",":
-                self.next()
-                actuals.append(self.actual())
+            actuals = self.comma_list(self.actual)
             self.expect(")")
         return Call(name, tuple(actuals))
 
@@ -352,79 +351,6 @@ class _Parser:
 
 # ------------------------------------------------------------- validation
 
-def _check_agent_scope(agent, bound, decl_name):
-    from .ast import agent_free_vars
-    free = agent_free_vars(agent) - bound
-    if free:
-        raise UnboundVariableError(sorted(free)[0], decl_name)
-
-
-def _walk_calls(agent, fn):
-    if isinstance(agent, Call):
-        fn(agent)
-    elif isinstance(agent, Parallel):
-        for x in agent.agents:
-            _walk_calls(x, fn)
-    elif isinstance(agent, Choice):
-        for _, b in agent.branches:
-            _walk_calls(b, fn)
-    elif isinstance(agent, Now):
-        _walk_calls(agent.then_agent, fn)
-        _walk_calls(agent.else_agent, fn)
-    elif isinstance(agent, Exists):
-        _walk_calls(agent.body, fn)
-
-
-def _entry_var_order(agent, bound, out):
-    """Free variables of the entry agent in first-occurrence order."""
-    from .ast import constraint_vars
-
-    def note(names):
-        for name in names:
-            if name not in bound and name not in out:
-                out.append(name)
-
-    if isinstance(agent, Tell):
-        note(_cvars_ordered(agent.constraint))
-    elif isinstance(agent, Parallel):
-        for x in agent.agents:
-            _entry_var_order(x, bound, out)
-    elif isinstance(agent, Choice):
-        for g, b in agent.branches:
-            note(_cvars_ordered(g))
-            _entry_var_order(b, bound, out)
-    elif isinstance(agent, Now):
-        note(_cvars_ordered(agent.cond))
-        _entry_var_order(agent.then_agent, bound, out)
-        _entry_var_order(agent.else_agent, bound, out)
-    elif isinstance(agent, Exists):
-        _entry_var_order(agent.body, bound | set(agent.vars), out)
-    elif isinstance(agent, Call):
-        for a in agent.actuals:
-            if isinstance(a, Var):
-                note([a.name])
-            elif isinstance(a, LinExpr):
-                note(a.variables())
-
-
-def _cvars_ordered(c):
-    if isinstance(c, CTrue):
-        return []
-    if isinstance(c, StreamEq):
-        return [c.var] + _tvars_ordered(c.rhs)
-    if isinstance(c, Linear):
-        return list(c.lhs.variables()) + list(c.rhs.variables())
-    return []
-
-
-def _tvars_ordered(t):
-    if isinstance(t, Var):
-        return [t.name]
-    if isinstance(t, Cons):
-        return _tvars_ordered(t.head) + _tvars_ordered(t.tail)
-    return []
-
-
 def validate(program):
     seen = set()
     for d in program.decls:
@@ -434,17 +360,22 @@ def validate(program):
 
     arity = {d.name: len(d.formals) for d in program.decls}
 
-    def check_call(call):
-        if call.name not in arity:
-            raise UnknownProcedureError(call.name)
-        if arity[call.name] != len(call.actuals):
-            raise ArityError(call.name, arity[call.name], len(call.actuals))
+    def check_calls(agent):
+        for call, _ in walk(agent):
+            if not isinstance(call, Call):
+                continue
+            if call.name not in arity:
+                raise UnknownProcedureError(call.name)
+            if arity[call.name] != len(call.actuals):
+                raise ArityError(call.name, arity[call.name], len(call.actuals))
 
     for d in program.decls:
-        _check_agent_scope(d.body, set(d.formals), d.name)
-        _walk_calls(d.body, check_call)
+        free = set(free_vars(d.body)) - set(d.formals)
+        if free:
+            raise UnboundVariableError(sorted(free)[0], d.name)
+        check_calls(d.body)
     if program.entry is not None:
-        _walk_calls(program.entry, check_call)
+        check_calls(program.entry)
     return program
 
 
@@ -482,7 +413,5 @@ def parse_program(text, entry=None):
     entry_vars = ()
     if entry is not None:
         entry_agent = parse_agent(entry)
-        order = []
-        _entry_var_order(entry_agent, set(), order)
-        entry_vars = tuple(order)
+        entry_vars = free_vars(entry_agent)
     return validate(Program(decls, entry_agent, entry_vars))

@@ -605,7 +605,7 @@ class Store:
             elif kind == "const":
                 v = cell[1]
                 memory.append({"kind": "const",
-                               "value": v if isinstance(v, str) else _num_str(v)})
+                               "value": v if isinstance(v, str) else ast.pretty_num(v)})
             elif kind == "dvar":
                 memory.append({"kind": "dvar", "dim": cell[1]})
             elif kind == "ref":
@@ -621,9 +621,3 @@ class Store:
             "memory": memory,
             "lin": dump_lin(self.lin),
         }
-
-
-def _num_str(v):
-    if v.denominator == 1:
-        return str(v.numerator)
-    return f"{v.numerator}/{v.denominator}"

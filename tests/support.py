@@ -258,20 +258,13 @@ class ProgramGen:
 
 def probe_set(program):
     """Constraints over entry variables used to compare the two routes."""
-    probes = []
     roots = set(program.entry_vars)
-
-    def usable(c):
-        return ast.constraint_vars(c) <= roots
-
-    for decl in program.decls:
-        for c in ast.constraints_of_agent(decl.body):
-            if usable(c):
-                probes.append(c)
+    agents = [d.body for d in program.decls]
     if program.entry is not None:
-        for c in ast.constraints_of_agent(program.entry):
-            if usable(c):
-                probes.append(c)
+        agents.append(program.entry)
+    probes = [c for a in agents for c, _ in ast.walk(a)
+              if isinstance(c, (ast.CTrue, ast.StreamEq, ast.Linear))
+              and set(ast.free_vars(c)) <= roots]
     evs = list(program.entry_vars)
     for i, v in enumerate(evs):
         for w in evs[i + 1:]:

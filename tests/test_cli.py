@@ -171,6 +171,13 @@ class TestExitCodes:
         code, _, err = cli("check", "--program", str(p))
         assert code == 1 and "Y" in err
 
+    def test_scope_error_names_no_position(self, cli, tmp_path):
+        p = tmp_path / "bad.tccp"
+        p.write_text("p(X) :- tell(Y = a).\n")
+        code, out, err = cli("check", "--program", str(p))
+        assert (code, out) == (1, "")
+        assert err == "error: unbound variable Y in declaration p\n"
+
     def test_missing_file_exits_one(self, cli):
         code, _, err = cli("check", "--program", "/nonexistent/f.tccp")
         assert code == 1 and err.startswith("error:")
@@ -208,6 +215,40 @@ class TestExitCodes:
             assert r.stdout == ""
             assert r.stderr.startswith("error: ") and "nesting" in r.stderr
             assert "Traceback" not in r.stderr
+
+    def test_nesting_at_the_limit_checks_prints_and_runs(self, tmp_path):
+        # bisect for the deepest text `check` accepts, in child processes
+        # so the stack depth is the CLI's own; at that depth validation,
+        # agent printing and execution must not overflow the stack either
+        p = tmp_path / "deep.tccp"
+
+        def cli_child(*args):
+            return subprocess.run([sys.executable, "-m", "tccp.cli", args[0],
+                                   "--program", str(p), *args[1:]],
+                                  capture_output=True, text=True,
+                                  env=cli_child_env(0))
+
+        shapes = {
+            "list": (900, lambda n: "p(X) :- tell(X = " + "[" * n + "a | _"
+                     + "] | _" * (n - 1) + "]).\n"),
+            "agent": (300, lambda n: "p(X) :- " + "(tell(X = a) || " * n
+                      + "skip" + ")" * n + ".\n"),
+        }
+        for shape, (documented, text) in shapes.items():
+            lo, hi = 1, 2048
+            while lo + 1 < hi:
+                mid = (lo + hi) // 2
+                p.write_text(text(mid))
+                if cli_child("check").returncode == 0:
+                    lo = mid
+                else:
+                    hi = mid
+            assert lo >= documented, shape
+            p.write_text(text(lo))
+            assert cli_child("check").returncode == 0, shape
+            r = cli_child("run", "--entry", "p(Y)", "--steps", "2")
+            assert r.returncode in (0, 2), (shape, lo, r.stderr[-300:])
+            assert "Traceback" not in r.stderr, (shape, lo)
 
     def test_an_error_mid_run_prints_no_trace(self, cli, monkeypatch):
         real_step = interp.step
