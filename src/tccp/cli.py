@@ -15,7 +15,9 @@ import time
 
 from .errors import TccpError
 from .interp import ChoicePolicy, FAILED, run
+from .linear import dump_lin
 from .parser import parse_program
+from .store import DumpMemo
 
 
 def _build_argparser():
@@ -57,22 +59,21 @@ def _build_argparser():
     return ap
 
 
-def _jsonl_line(el):
-    doc = {
-        "clock": el.clock,
-        "status": el.status,
-        "agents": list(el.agents),
-        "store": el.store.dump(),
-    }
-    return json.dumps(doc, separators=(",", ":"))
+def _jsonl_line(el, memo):
+    """One jsonl line; `memo` is the run's `DumpMemo`."""
+    head = json.dumps({"clock": el.clock, "status": el.status,
+                       "agents": list(el.agents)}, separators=(",", ":"))
+    return head[:-1] + ',"store":' + el.store.dump(memo) + "}"
 
 
 def _text_block(el):
-    d = el.store.dump()
+    store = el.store
+    counts = store.counts()
     lines = [f"-- instant {el.clock} [{el.status}]"
-             f" nodes={d['nodes']} registers={d['registers']}"
-             f" dims={d['dims']} consistent={str(d['consistent']).lower()}"]
-    for r in d["lin"]:
+             f" nodes={counts['nodes']} registers={counts['registers']}"
+             f" dims={counts['dims']}"
+             f" consistent={str(store.is_consistent()).lower()}"]
+    for r in dump_lin(store.lin):
         lines.append(f"   lin: {r}")
     for a in el.agents:
         lines.append(f"   agent: {a}")
@@ -88,11 +89,11 @@ def cmd_run(args):
         program = parse_program(f.read(), entry=args.entry)
     policy = ChoicePolicy(args.policy, args.seed)
     trace = run(program, args.steps, policy, every=args.dump_every)
-    out = []
+    # written only now: an error mid-run leaves stdout empty
+    memo = DumpMemo()
     for el in trace:
-        out.append(_jsonl_line(el) if args.format == "jsonl"
-                   else _text_block(el))
-    print("\n".join(out))
+        print(_jsonl_line(el, memo) if args.format == "jsonl"
+              else _text_block(el))
     return _exit_code(trace)
 
 

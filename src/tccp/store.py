@@ -30,6 +30,7 @@ first with `frozen()`, which costs O(store).
 """
 
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _json_str
 
 from . import ast
 from .errors import (
@@ -150,6 +151,114 @@ class Layer:
         if x is None and i < len(self.base):
             x = self.base[i]
         return x
+
+
+# A register's document is {"kind": cell[0]} plus, for every kind but
+# "unbound", the one field named here, which holds cell[1] (a const's
+# number as a string: "42", "-3", "1/2"). `_cell_doc` builds it and
+# `_cell_text` writes it as compact JSON; `_node_doc` and `_node_text` do
+# the same for a scope node. Differential tests hold each text equal to
+# json.dumps of its document.
+_CELL_FIELD = {"unbound": None, "const": "value", "dvar": "dim",
+               "ref": "to", "functor": "head"}
+
+
+def _cell_arg(cell):
+    v = cell[1]
+    if cell[0] == "const" and not isinstance(v, str):
+        return ast.pretty_num(v)
+    return v
+
+
+def _cell_doc(cell):
+    if cell is None:
+        return None
+    field = _CELL_FIELD[cell[0]]
+    if field is None:
+        return {"kind": cell[0]}
+    return {"kind": cell[0], field: _cell_arg(cell)}
+
+
+def _cell_text(cell):
+    if cell is None:
+        return "null"
+    field = _CELL_FIELD[cell[0]]
+    if field is None:
+        return '{"kind":"%s"}' % cell[0]
+    arg = _cell_arg(cell)
+    return '{"kind":"%s","%s":%s}' % (
+        cell[0], field, _json_str(arg) if isinstance(arg, str) else arg)
+
+
+def _node_doc(node):
+    if node is None:
+        return None
+    return {"id": node.id, "parent": node.parent, "kind": node.kind,
+            "label": node.label, "symbols": dict(node.symbols)}
+
+
+def _node_text(node):
+    if node is None:
+        return "null"
+    return '{"id":%d,"parent":%s,"kind":%s,"label":%s,"symbols":{%s}}' % (
+        node.id, "null" if node.parent is None else node.parent,
+        _json_str(node.kind), _json_str(node.label),
+        ",".join([f"{_json_str(name)}:{idx}"
+                  for name, idx in node.symbols.items()]))
+
+
+class DumpMemo:
+    """The text of each register and scope node as `Store.dump(memo)` last
+    rendered it, with what the slot held then. A slot is encoded again
+    only when it holds something else: a cell is an immutable tuple, so
+    the same object means the same text; a scope node is the same while it
+    is the same object with as many symbols, since only its symbols change
+    and they only gain names. Kept across the dumps of one run, a dump
+    costs one identity check per slot plus the encoding of the slots
+    written since the dump before."""
+
+    __slots__ = ("cells", "cell_text", "nodes", "node_sizes", "node_text")
+
+    def __init__(self):
+        # slot i held cells[i] (nodes[i] with node_sizes[i] symbols) when
+        # it was rendered as cell_text[i] (node_text[i]); None is "null"
+        self.cells = []
+        self.cell_text = []
+        self.nodes = []
+        self.node_sizes = []
+        self.node_text = []
+
+    def cell_texts(self, cells):
+        """The texts of `cells`, one per slot."""
+        held, text = self.cells, self.cell_text
+        _grow(len(cells), held, text)
+        for i, cell in enumerate(cells):
+            if cell is not held[i]:
+                held[i] = cell
+                text[i] = _cell_text(cell)
+        return text[:len(cells)]
+
+    def node_texts(self, nodes):
+        """The texts of `nodes`, one per slot."""
+        held, sizes, text = self.nodes, self.node_sizes, self.node_text
+        _grow(len(nodes), held, text, sizes)
+        for i, node in enumerate(nodes):
+            if node is not held[i] or (node is not None
+                                       and len(node.symbols) != sizes[i]):
+                held[i] = node
+                sizes[i] = 0 if node is None else len(node.symbols)
+                text[i] = _node_text(node)
+        return text[:len(nodes)]
+
+
+def _grow(n, held, text, sizes=None):
+    """Extend a memo's lists to n slots, each holding None ("null")."""
+    k = n - len(held)
+    if k > 0:
+        held.extend([None] * k)
+        text.extend(["null"] * k)
+        if sizes is not None:
+            sizes.extend([0] * k)
 
 
 class Store:
@@ -582,42 +691,27 @@ class Store:
         return {"nodes": self.n_nodes, "registers": self.n_cells,
                 "dims": self.lin.dims}
 
-    def dump(self):
+    def dump(self, memo=None):
         """The store as `docs/trace.md` describes it; a slot that only a
-        sibling snapshot allocated is rendered as null."""
-        scopes = []
-        for node in _overlaid(self.base.scopes, self.node_log, self.n_nodes):
-            scopes.append(None if node is None else {
-                "id": node.id,
-                "parent": node.parent,
-                "kind": node.kind,
-                "label": node.label,
-                "symbols": dict(node.symbols),
-            })
-        memory = []
-        for cell in _overlaid(self.base.memory, self.write_log, self.n_cells):
-            if cell is None:
-                memory.append(None)
-                continue
-            kind = cell[0]
-            if kind == "unbound":
-                memory.append({"kind": "unbound"})
-            elif kind == "const":
-                v = cell[1]
-                memory.append({"kind": "const",
-                               "value": v if isinstance(v, str) else ast.pretty_num(v)})
-            elif kind == "dvar":
-                memory.append({"kind": "dvar", "dim": cell[1]})
-            elif kind == "ref":
-                memory.append({"kind": "ref", "to": cell[1]})
-            else:
-                memory.append({"kind": "functor", "head": cell[1]})
-        return {
-            "consistent": self.is_consistent(),
-            "nodes": self.n_nodes,
-            "registers": self.n_cells,
-            "dims": self.lin.dims,
-            "scopes": scopes,
-            "memory": memory,
-            "lin": dump_lin(self.lin),
-        }
+        sibling snapshot allocated is rendered as null. Given a `DumpMemo`,
+        the same document as compact JSON text, which encodes again only
+        the slots that changed since the memo's previous dump."""
+        scopes = _overlaid(self.base.scopes, self.node_log, self.n_nodes)
+        memory = _overlaid(self.base.memory, self.write_log, self.n_cells)
+        if memo is None:
+            return {
+                "consistent": self.is_consistent(),
+                "nodes": self.n_nodes,
+                "registers": self.n_cells,
+                "dims": self.lin.dims,
+                "scopes": [_node_doc(node) for node in scopes],
+                "memory": [_cell_doc(cell) for cell in memory],
+                "lin": dump_lin(self.lin),
+            }
+        return ('{"consistent":%s,"nodes":%d,"registers":%d,"dims":%d,'
+                '"scopes":[%s],"memory":[%s],"lin":[%s]}' % (
+                    "true" if self.is_consistent() else "false",
+                    self.n_nodes, self.n_cells, self.lin.dims,
+                    ",".join(memo.node_texts(scopes)),
+                    ",".join(memo.cell_texts(memory)),
+                    ",".join(map(_json_str, dump_lin(self.lin)))))

@@ -326,3 +326,12 @@ class TestByteGate:
         assert code == 0 and err == ""
         assert out.count("\n") == lines
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_photocopier_text(self, cli):
+        code, out, err = cli("run", "--program", PHOTOCOPIER,
+                             "--entry", PHOTOCOPIER_ENTRY, "--steps", "200",
+                             "--policy", "first", "--format", "text")
+        assert code == 0 and err == ""
+        assert out.count("-- instant ") == 201
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            "03b30cbbdc52a3eb91149a2238c2ced72fe161f987b652b11c4d3b1bd3263757"

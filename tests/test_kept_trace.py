@@ -1,7 +1,9 @@
 """`run(..., every=M)` keeps only the trace steps that `--dump-every M`
 prints, stores taken during a run never change afterwards, and a run that
 keeps only its final step holds far less memory than one that keeps all.
-One sha256 pins the jsonl bytes of the generated programs' full traces.
+One sha256 pins the jsonl bytes of the generated programs' full traces,
+rendered through one `DumpMemo` per run, and that memo's text matches a
+fresh dump at every kept step.
 """
 
 import hashlib
@@ -17,6 +19,7 @@ from tccp import interp
 from tccp.cli import _jsonl_line
 from tccp.interp import ChoicePolicy, run
 from tccp.parser import parse_program
+from tccp.store import DumpMemo
 from support import ProgramGen
 
 PHOTOCOPIER_ENTRY = "initialize(MIdle) || tell(MIdle = 5)"
@@ -126,6 +129,35 @@ class TestSnapshotsStayPut:
                     assert el.store.dump() == eager[el.clock], (kind, i)
 
 
+def compact(store):
+    return json.dumps(store.dump(), separators=(",", ":"))
+
+
+def test_a_run_memo_renders_each_kept_step_as_a_fresh_dump(generated):
+    """`dump(memo)` with one memo for the run, as `tccp run` uses it,
+    against json.dumps of the memo-free `dump()`."""
+    for kind in POLICIES:
+        for i, program in enumerate(generated):
+            for every in (1, 3, 7):
+                memo = DumpMemo()
+                for el in run(program, 12, policy=policy_of(kind, i),
+                              every=every):
+                    assert el.store.dump(memo) == compact(el.store), \
+                        (kind, i, every, el.clock)
+
+
+def test_one_memo_across_two_runs_the_second_shorter(photocopier,
+                                                     generated):
+    memo = DumpMemo()
+    runs = (run(photocopier, 30, policy=ChoicePolicy("last"), every=10),
+            run(generated[0], 12))
+    for trace in runs:
+        for el in trace:
+            assert el.store.dump(memo) == compact(el.store)
+    assert runs[1][-1].store.counts()["registers"] < \
+        runs[0][-1].store.counts()["registers"]
+
+
 def test_keeping_only_the_final_step_needs_a_quarter_of_the_memory(
         photocopier):
     def peak(every):
@@ -147,10 +179,12 @@ GENERATED_JSONL_SHA256 = (
 def test_generated_jsonl_bytes_are_pinned(generated):
     """One sha256 over the full jsonl traces (12 instants, every instant)
     of the 220 generated programs under each policy: the store's output,
-    byte for byte, on a few thousand small instants."""
+    byte for byte, on a few thousand small instants. Each run renders
+    through one memo, as `tccp run` does."""
     h = hashlib.sha256()
     for kind in POLICIES:
         for i, program in enumerate(generated):
+            memo = DumpMemo()
             for el in run(program, 12, policy=policy_of(kind, i)):
-                h.update(_jsonl_line(el).encode() + b"\n")
+                h.update(_jsonl_line(el, memo).encode() + b"\n")
     assert h.hexdigest() == GENERATED_JSONL_SHA256

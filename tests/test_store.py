@@ -13,7 +13,7 @@ from tccp.errors import (
     DuplicateInScopeError, UnboundActualError, UnknownSymbolError,
 )
 from tccp.parser import parse_constraint
-from tccp.store import EXISTS, PROC_CALL, Store, UNBOUND
+from tccp.store import DumpMemo, EXISTS, PROC_CALL, Store, UNBOUND
 from support import check_parameter_law
 
 
@@ -526,6 +526,45 @@ class TestCopyOnWrite:
         out.add_scope(EXISTS, 0)
         assert base.dump() == base_dump
         assert out.entails(0, C("X = a"))
+
+
+def compact(st):
+    return json.dumps(st.dump(), separators=(",", ":"))
+
+
+class TestDumpMemo:
+    """`dump(memo)` is the compact JSON of `dump()`, whatever the memo
+    rendered before: a slot is encoded again when it holds another cell
+    or node, or when its node gained symbols."""
+
+    def test_a_live_snapshot_dumped_before_and_after_it_grows(self):
+        base = fresh("X", "Y").seal()
+        snap = base.branch()
+        nid = snap.add_scope(EXISTS, 0)
+        snap.add_variable(nid, "L")
+        memo = DumpMemo()
+        before = snap.dump(memo)
+        assert before == compact(snap)
+        snap.add_variable(nid, "M")  # the same node object, one more symbol
+        snap.add_variable(0, "Q")  # a copy of the root in the delta
+        snap.add_constraint(nid, C("L = [a | M]"))
+        snap.add_constraint(0, C("X = Y + 1"))
+        after = snap.dump(memo)
+        assert after == compact(snap) != before
+        assert json.loads(after)["scopes"][nid]["symbols"] == \
+            {"L": 2, "M": 3}
+
+    def test_slots_a_sibling_allocated_turn_null_and_back(self):
+        base = fresh("X")
+        s1, s2 = base.branch(), base.branch()
+        for st, name in ((s1, "L"), (s2, "M")):
+            st.add_variable(st.add_scope(EXISTS, 0), name)
+            st.add_constraint(0, C(f"X = [{name.lower()} | _]"))
+        memo = DumpMemo()
+        for st in (s2, s1, s2, base, s1):
+            text = st.dump(memo)
+            assert text == compact(st)
+        assert json.loads(s2.dump(memo))["scopes"][1] is None
 
 
 # ------------------------------------------------------- long streams
