@@ -84,9 +84,17 @@ def _exit_code(trace):
     return 2 if trace[-1].status == FAILED else 0
 
 
+def _read_program(path):
+    with open(path, encoding="utf-8") as f:
+        try:
+            return f.read()
+        except UnicodeDecodeError as e:
+            raise TccpError(f"{path}: not UTF-8 text: {e.reason} "
+                            f"at byte {e.start}") from None
+
+
 def cmd_run(args):
-    with open(args.program) as f:
-        program = parse_program(f.read(), entry=args.entry)
+    program = parse_program(_read_program(args.program), entry=args.entry)
     policy = ChoicePolicy(args.policy, args.seed)
     trace = run(program, args.steps, policy, every=args.dump_every)
     # written only now: an error mid-run leaves stdout empty
@@ -98,16 +106,14 @@ def cmd_run(args):
 
 
 def cmd_check(args):
-    with open(args.program) as f:
-        program = parse_program(f.read(), entry=args.entry)
+    program = parse_program(_read_program(args.program), entry=args.entry)
     n = len(program.decls)
     print(f"ok: {n} declaration{'s' if n != 1 else ''}")
     return 0
 
 
 def cmd_stats(args):
-    with open(args.program) as f:
-        text = f.read()
+    text = _read_program(args.program)
     t0 = time.perf_counter()
     program = parse_program(text, entry=args.entry)
     t1 = time.perf_counter()

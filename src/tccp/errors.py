@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types used across the package."""
 
 
 class TccpError(Exception):
@@ -61,22 +61,11 @@ class UnknownSymbolError(TccpError):
         super().__init__(f"symbol {name} not visible in scope")
 
 
-class DuplicateInScopeError(TccpError):
-    def __init__(self, name):
-        self.name = name
-        super().__init__(f"symbol {name} already declared in this scope node")
-
-
 class UnallocatedDimensionError(TccpError):
     def __init__(self, dim, dims):
         self.dim = dim
         self.dims = dims
         super().__init__(f"dimension {dim} not allocated (store has {dims})")
-
-
-class DimensionMismatchError(TccpError):
-    def __init__(self, a, b):
-        super().__init__(f"stores disagree on dimension space: {a} vs {b}")
 
 
 class UnboundActualError(TccpError):

@@ -82,10 +82,7 @@ class TraceStep:
 def initial_config(program):
     if program.entry is None:
         raise ValueError("program has no entry agent")
-    store = Store.new()
-    for name in program.entry_vars:
-        store.add_variable(0, name)
-    store.seal()
+    store = Store.new(program.entry_vars).seal()
     return Config(program, store, [Thread(program.entry, 0)], 0, RUNNING)
 
 
@@ -123,16 +120,15 @@ def execute(program, agent, scope, snap, policy, rng):
         return Store.merge(snap, snaps), threads, moved
 
     if isinstance(agent, ast.Exists):
-        nid = snap.add_scope(EXISTS, scope)
-        for name in agent.vars:
-            snap.add_variable(nid, name)
+        nid = snap.add_scope(EXISTS, scope,
+                             {name: snap.new_cell() for name in agent.vars})
         return execute(program, agent.body, nid, snap, policy, rng)
 
     if isinstance(agent, ast.Call):
         decl = program.decl(agent.name)
-        nid = snap.add_scope(PROC_CALL, scope, label=agent.name)
-        for formal, actual in zip(decl.formals, agent.actuals):
-            snap.add_parameter(nid, formal, actual, scope)
+        formals = {formal: snap.actual_cell(actual, scope)
+                   for formal, actual in zip(decl.formals, agent.actuals)}
+        nid = snap.add_scope(PROC_CALL, scope, formals, label=agent.name)
         return snap, [Thread(decl.body, nid)], True
 
     raise TypeError(f"bad agent: {agent!r}")
@@ -205,20 +201,13 @@ def run(program, steps, policy=None, seed=None, every=1):
     rng = policy.make_rng()
     config = initial_config(program)
     trace = [_trace_step(config)] if every else []
-    final = RUNNING
     for _ in range(steps):
         moved, config = step(config, policy, rng)
-        if not moved:
-            final = QUIESCENT
-            break
-        if every and config.clock % every == 0:
+        if moved and every and config.clock % every == 0:
             trace.append(_trace_step(config))
         if config.status != RUNNING:
-            final = config.status
-            break
-    else:
-        final = config.status
+            break  # a step that moved nothing returns a quiescent config
     if not trace or trace[-1].clock != config.clock:
         trace.append(_trace_step(config))
-    trace[-1] = replace(trace[-1], status=final)
+    trace[-1] = replace(trace[-1], status=config.status)
     return trace

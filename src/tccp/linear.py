@@ -10,7 +10,7 @@ Satisfiability is decided exactly over the rationals. Each store keeps
 its equalities in a solved form that grows by at most one pivot per told
 equality; the inequalities, reduced through it, go through a two-phase
 dictionary simplex with Bland's rule, and only when some of them still
-have variables. Strict systems are decided by maximizing a shared slack
+have variables. Strict systems are decided by maximizing a common slack
 margin: the system has a solution iff its non-strict relaxation does and
 the margin's supremum is positive. Projection uses Fourier-Motzkin
 elimination with strictness propagation. Answers never depend on
@@ -22,7 +22,7 @@ from heapq import heapify, heappop, heappush
 from math import gcd
 
 from .ast import LinExpr, pretty_linexpr
-from .errors import DimensionMismatchError, UnallocatedDimensionError
+from .errors import UnallocatedDimensionError
 
 # canonical row: (op, ((dim, int_coef), ...), int_const) meaning expr op 0
 FALSE_ROW = ("<", (), 0)  # 0 < 0
@@ -217,19 +217,11 @@ class _Simplex:
         return self._maximize(*self._sub_objective({objective_col: Fraction(1)}))
 
 
-def _feasible(rows, solved=None):
-    """Exact satisfiability of canonical rows, conjoined with a solved form
-    (see `LinStore`), over the rationals."""
-    solved = solved or {}
-    if any(r[0] == "=" for r in rows):
-        solved = dict(solved)
-        for r in rows:
-            if r[0] == "=" and not _absorb(solved, r):
-                return False
+def _feasible(rows, solved):
+    """Exact satisfiability of canonical inequality rows, conjoined with a
+    solved form (see `LinStore`), over the rationals."""
     live = []
     for op, coeffs, const in rows:
-        if op == "=":
-            continue
         coeffs, const = _reduce(coeffs, const, solved)
         if coeffs:
             live.append((op, coeffs, const))
@@ -238,7 +230,7 @@ def _feasible(rows, solved=None):
     if not live:
         return True
     dims = sorted({d for _, coeffs, _ in live for d in coeffs})
-    # free x_d = u - v with u, v >= 0; one shared strict margin column
+    # free x_d = u - v with u, v >= 0; one strict margin column for all rows
     col = {}
     for d in dims:
         col[d] = len(col) * 2
@@ -299,7 +291,7 @@ class LinStore:
         return f"LinStore(dims={self.dims}, rows={len(self.rows)}, empty={self.empty})"
 
 
-# one shared empty store: stores are values, and its memo only caches answers
+# one empty store for all: stores are values, and its memo only caches answers
 _NEW = LinStore(0, (), {}, (), False)
 
 
@@ -380,10 +372,6 @@ def ls_entails(s, r):
 def ls_meet(a, b):
     """Least upper bound of two stores grown from a common ancestor."""
     dims = max(a.dims, b.dims)
-    for r in b.rows:
-        for d, _ in r[1]:
-            if d >= dims:
-                raise DimensionMismatchError(a.dims, b.dims)
     have = set(a.rows)
     new = tuple(r for r in b.rows if r not in have)
     if b.empty and not a.empty:

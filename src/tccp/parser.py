@@ -5,6 +5,7 @@ then check scope (declaration bodies may only use formals and exists-bound
 variables) and call sites (known procedure, matching arity).
 """
 
+import sys
 from fractions import Fraction
 
 from .ast import (
@@ -67,11 +68,17 @@ def tokenize(text):
             i += len(matched)
             col += len(matched)
             continue
-        if ch.isdigit():
+        if ch.isdecimal():  # isdigit() takes `²`, which int() refuses
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
-            toks.append(Token("NUM", Fraction(int(text[i:j])), line, col))
+            try:
+                value = int(text[i:j])
+            except ValueError:  # longer than sys.get_int_max_str_digits()
+                raise TccpSyntaxError(line, col, "a number of at most "
+                                      f"{sys.get_int_max_str_digits()} digits"
+                                      ) from None
+            toks.append(Token("NUM", Fraction(value), line, col))
             col += j - i
             i = j
             continue

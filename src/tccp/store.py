@@ -15,8 +15,10 @@ executes on its own branch. Every store of one run shares one `Base`:
 the allocation counters, which keep register, node and dimension indices
 disjoint so that they survive the merge verbatim, and the base lists of
 registers and scope nodes. Each store adds its own delta: the registers
-it wrote, the scope nodes it created, and its copies of older nodes that
-gained symbols. Reads look in the delta first, then in the base.
+it wrote and the scope nodes it created. A scope node gets all its
+symbols when it is made and is never changed after, so stores, frozen
+copies and dump memos share nodes as they are. Reads look in the delta
+first, then in the base.
 Branching copies the delta only, so it costs O(this instant's changes),
 not O(store). Merging replays each branch's writes onto a branch of the
 base through unification; a clash (atom vs number, structure vs numeric,
@@ -33,9 +35,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_str
 
 from . import ast
-from .errors import (
-    DuplicateInScopeError, UnboundActualError, UnknownSymbolError,
-)
+from .errors import UnboundActualError, UnknownSymbolError
 from .linear import (
     dump_lin, ls_add, ls_entails, ls_grow, ls_is_empty, ls_meet, ls_new, row,
 )
@@ -93,22 +93,16 @@ class Base:
 
 
 class ScopeNode:
-    # `shared` once a second store can see the node: from then on a store
-    # that adds a symbol changes a copy of its own
-    __slots__ = ("id", "parent", "kind", "label", "symbols", "shared")
+    """One scope: built whole by `Store.add_scope` and never changed."""
 
-    def __init__(self, id, parent, kind, label=""):
+    __slots__ = ("id", "parent", "kind", "label", "symbols")
+
+    def __init__(self, id, parent, kind, label, symbols):
         self.id = id
         self.parent = parent
         self.kind = kind
         self.label = label
-        self.symbols = {}
-        self.shared = False
-
-    def copy(self):
-        node = ScopeNode(self.id, self.parent, self.kind, self.label)
-        node.symbols = dict(self.symbols)
-        return node
+        self.symbols = symbols
 
 
 def _overlaid(base, delta, size):
@@ -210,55 +204,35 @@ def _node_text(node):
 class DumpMemo:
     """The text of each register and scope node as `Store.dump(memo)` last
     rendered it, with what the slot held then. A slot is encoded again
-    only when it holds something else: a cell is an immutable tuple, so
-    the same object means the same text; a scope node is the same while it
-    is the same object with as many symbols, since only its symbols change
-    and they only gain names. Kept across the dumps of one run, a dump
-    costs one identity check per slot plus the encoding of the slots
-    written since the dump before."""
+    only when it holds another object: cells are immutable tuples and
+    scope nodes are never changed once made, so the same object means the
+    same text. Kept across the dumps of one run, a dump costs one identity
+    check per slot plus the encoding of the slots written since the dump
+    before."""
 
-    __slots__ = ("cells", "cell_text", "nodes", "node_sizes", "node_text")
+    __slots__ = ("cells", "cell_text", "nodes", "node_text")
 
     def __init__(self):
-        # slot i held cells[i] (nodes[i] with node_sizes[i] symbols) when
-        # it was rendered as cell_text[i] (node_text[i]); None is "null"
+        # slot i held cells[i] (nodes[i]) when it was rendered as
+        # cell_text[i] (node_text[i]); None is "null"
         self.cells = []
         self.cell_text = []
         self.nodes = []
-        self.node_sizes = []
         self.node_text = []
 
-    def cell_texts(self, cells):
-        """The texts of `cells`, one per slot."""
-        held, text = self.cells, self.cell_text
-        _grow(len(cells), held, text)
-        for i, cell in enumerate(cells):
-            if cell is not held[i]:
-                held[i] = cell
-                text[i] = _cell_text(cell)
-        return text[:len(cells)]
 
-    def node_texts(self, nodes):
-        """The texts of `nodes`, one per slot."""
-        held, sizes, text = self.nodes, self.node_sizes, self.node_text
-        _grow(len(nodes), held, text, sizes)
-        for i, node in enumerate(nodes):
-            if node is not held[i] or (node is not None
-                                       and len(node.symbols) != sizes[i]):
-                held[i] = node
-                sizes[i] = 0 if node is None else len(node.symbols)
-                text[i] = _node_text(node)
-        return text[:len(nodes)]
-
-
-def _grow(n, held, text, sizes=None):
-    """Extend a memo's lists to n slots, each holding None ("null")."""
-    k = n - len(held)
+def _memo_texts(held, text, items, render):
+    """The texts of `items`, one per slot, rendering only the slots whose
+    object is not the one `held` has; `held` and `text` are updated."""
+    k = len(items) - len(held)
     if k > 0:
         held.extend([None] * k)
         text.extend(["null"] * k)
-        if sizes is not None:
-            sizes.extend([0] * k)
+    for i, x in enumerate(items):
+        if x is not held[i]:
+            held[i] = x
+            text[i] = render(x)
+    return text[:len(items)]
 
 
 class Store:
@@ -280,9 +254,10 @@ class Store:
         self.step_false = False
 
     @staticmethod
-    def new():
+    def new(names=()):
+        """A store whose root holds one unbound register per name."""
         s = Store()
-        s.add_scope(ROOT, None)
+        s.add_scope(ROOT, None, {name: s.new_cell() for name in names})
         return s
 
     @property
@@ -298,16 +273,12 @@ class Store:
     def branch(self):
         """Snapshot for one thread/agent of the current instant: this
         store's delta over the same base, O(delta). The two sides share
-        the delta's nodes, so both copy a node before changing it, and
-        later writes on either side stay there."""
-        nodes = self.node_log
-        if nodes:
-            for node in nodes.values():
-                node.shared = True
+        the delta's nodes, which nothing changes, and later writes on
+        either side stay there."""
         s = Store.__new__(Store)
         s.base = self.base
         s.write_log = self.write_log.copy()
-        s.node_log = nodes.copy()
+        s.node_log = self.node_log.copy()
         s.n_cells = self.n_cells
         s.n_nodes = self.n_nodes
         s.lin = self.lin
@@ -344,17 +315,6 @@ class Store:
 
     def _cell(self, idx):
         return self.write_log.get(idx) or self.base.memory[idx]
-
-    def _node(self, nid):
-        return self.node_log.get(nid) or self.base.scopes[nid]
-
-    def _own_node(self, nid):
-        """Node nid, to change: a node of the base, or one that another
-        store can see, is copied into the delta first."""
-        node = self.node_log.get(nid)
-        if node is None or node.shared:
-            node = self.node_log[nid] = self._node(nid).copy()
-        return node
 
     def _set(self, idx, cell):
         self.write_log[idx] = cell
@@ -414,21 +374,19 @@ class Store:
 
     # ------------------------------------------------------------- scopes
 
-    def add_scope(self, kind, parent, label=""):
+    def add_scope(self, kind, parent, symbols, label=""):
+        """A new scope node holding `symbols` (name -> register index), the
+        dict itself; returns its id."""
         nid = self.base.next_node
         self.base.next_node += 1
-        self.node_log[nid] = ScopeNode(nid, parent, kind, label)
+        self.node_log[nid] = ScopeNode(nid, parent, kind, label, symbols)
         if nid >= self.n_nodes:
             self.n_nodes = nid + 1
         return nid
 
-    def add_variable(self, scope_id, name):
-        node = self._own_node(scope_id)
-        if name in node.symbols:
-            raise DuplicateInScopeError(name)
-        idx = self._alloc_cell(UNBOUND)
-        node.symbols[name] = idx
-        return idx
+    def new_cell(self):
+        """One new unbound register; returns its index."""
+        return self._alloc_cell(UNBOUND)
 
     def lookup(self, scope_id, name):
         log, scopes = self.node_log, self.base.scopes
@@ -442,33 +400,31 @@ class Store:
             nid = node.parent
         raise UnknownSymbolError(name)
 
-    def add_parameter(self, scope_id, formal, actual, caller_scope):
-        """Link one formal of a fresh call node to its actual."""
-        node = self._own_node(scope_id)
-        if formal in node.symbols:
-            raise DuplicateInScopeError(formal)
+    def actual_cell(self, actual, caller_scope):
+        """The register of a formal whose actual is `actual`, resolved in
+        caller_scope: the caller's own register for a variable, else a
+        new one."""
         if isinstance(actual, ast.Var):
             try:
-                node.symbols[formal] = self.lookup(caller_scope, actual.name)
+                return self.lookup(caller_scope, actual.name)
             except UnknownSymbolError:
                 raise UnboundActualError(actual.name)
-        elif isinstance(actual, ast.Atom):
-            node.symbols[formal] = self._alloc_cell(const_cell(actual.name))
-        elif isinstance(actual, ast.Num):
-            node.symbols[formal] = self._alloc_cell(const_cell(actual.value))
-        elif isinstance(actual, ast.LinExpr):
+        if isinstance(actual, ast.Atom):
+            return self._alloc_cell(const_cell(actual.name))
+        if isinstance(actual, ast.Num):
+            return self._alloc_cell(const_cell(actual.value))
+        if isinstance(actual, ast.LinExpr):
             resolved = self._resolve_linexpr(actual, caller_scope, allocate=True)
             d = self._alloc_dim()
-            node.symbols[formal] = self._alloc_cell(dvar_cell(d))
+            idx = self._alloc_cell(dvar_cell(d))
             if resolved is None:
                 self.step_false = True
             else:
                 coeffs, const = resolved
                 coeffs[d] = coeffs.get(d, Fraction(0)) - 1
                 self._add_row(row("=", coeffs, const))
-        else:
-            raise TypeError(f"bad actual: {actual!r}")
-        return node.symbols[formal]
+            return idx
+        raise TypeError(f"bad actual: {actual!r}")
 
     # -------------------------------------------------------- consistency
 
@@ -663,12 +619,7 @@ class Store:
             if snap.lin is not base.lin:
                 out.lin = ls_meet(out.lin, snap.lin)
             for nid, node in snap.node_log.items():
-                if base.node_log.get(nid) is node:
-                    continue  # inherited from base, unchanged
-                if nid < base.n_nodes:  # an older node that gained symbols
-                    out._own_node(nid).symbols.update(node.symbols)
-                else:  # created by the snapshot
-                    node.shared = True
+                if nid >= base.n_nodes:  # created by the snapshot
                     out.node_log[nid] = node
                     out.n_nodes = max(out.n_nodes, nid + 1)
             # the snapshot's own writes: what it holds beyond base's delta
@@ -712,6 +663,8 @@ class Store:
                 '"scopes":[%s],"memory":[%s],"lin":[%s]}' % (
                     "true" if self.is_consistent() else "false",
                     self.n_nodes, self.n_cells, self.lin.dims,
-                    ",".join(memo.node_texts(scopes)),
-                    ",".join(memo.cell_texts(memory)),
+                    ",".join(_memo_texts(memo.nodes, memo.node_text,
+                                         scopes, _node_text)),
+                    ",".join(_memo_texts(memo.cells, memo.cell_text,
+                                         memory, _cell_text)),
                     ",".join(map(_json_str, dump_lin(self.lin)))))

@@ -371,14 +371,12 @@ def check_parameter_law(rng, n_setups):
         ast.Linear(ast.LinExpr.of_var("F"), ">", ast.LinExpr.of_num(Fraction(0))),
     ]
     for i in range(n_setups):
-        st = Store.new()
-        st.add_variable(0, "V")
-        st.add_variable(0, "W")
+        st = Store.new(["V", "W"])
         pre = rng.choice(caller_tells)
         if pre is not None:
             st.add_constraint(0, pre)
-        nid = st.add_scope(PROC_CALL, 0, label="p")
-        st.add_parameter(nid, "F", ast.Var("V"), 0)
+        nid = st.add_scope(PROC_CALL, 0, {"F": st.actual_cell(ast.Var("V"), 0)},
+                           label="p")
         for pf, pv in zip(probes_for("F"), probes_for("V")):
             assert st.entails(nid, pf) == st.entails(0, pv), (i, pf)
         post = rng.choice(callee_tells)

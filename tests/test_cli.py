@@ -182,6 +182,22 @@ class TestExitCodes:
         code, _, err = cli("check", "--program", "/nonexistent/f.tccp")
         assert code == 1 and err.startswith("error:")
 
+    def test_a_superscript_digit_is_a_syntax_error(self, cli, tmp_path):
+        p = tmp_path / "sup.tccp"
+        p.write_text("p :- tell(X = \u00b2).\n", encoding="utf-8")
+        assert cli("check", "--program", str(p)) == \
+            (1, "", "error: 1:15: expected a token, found '\u00b2'\n")
+
+    @pytest.mark.parametrize("command", [["run", "--steps", "1"], ["check"],
+                                         ["stats", "--steps", "1"]],
+                             ids=["run", "check", "stats"])
+    def test_a_file_that_is_not_utf8_exits_one(self, cli, tmp_path, command):
+        p = tmp_path / "latin1.tccp"
+        p.write_bytes("% caf\u00e9\n".encode("latin-1"))
+        assert cli(*command, "--program", str(p), "--entry", "skip") == \
+            (1, "", f"error: {p}: not UTF-8 text: invalid continuation byte"
+                    " at byte 5\n")
+
     def test_negative_steps_exit_one(self, cli, empty_program):
         code, _, err = cli("run", "--program", empty_program,
                            "--entry", "skip", "--steps", "-1")

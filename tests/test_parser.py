@@ -2,6 +2,7 @@
 pretty-printer round-trip."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,7 @@ from tccp.ast import (
     pretty_program,
 )
 from tccp.errors import (
-    ArityError, DuplicateDeclarationError, TccpSyntaxError,
+    ArityError, DuplicateDeclarationError, TccpError, TccpSyntaxError,
     UnboundVariableError, UnknownProcedureError,
 )
 from tccp.parser import parse_agent, parse_constraint, parse_program
@@ -187,6 +188,12 @@ class TestLexing:
         with pytest.raises(TccpSyntaxError):
             parse_constraint("X = 1/2")
 
+    def test_a_number_longer_than_int_takes_is_an_error(self):
+        digits = "1" * (sys.get_int_max_str_digits() + 1)
+        with pytest.raises(TccpSyntaxError) as e:
+            parse_constraint(f"X = {digits}")
+        assert (e.value.line, e.value.col) == (1, 5)
+
 
 # --------------------------------------------------------------- programs
 
@@ -352,3 +359,26 @@ class TestRoundTrip:
                                entry=pretty_agent(p1.entry))
             assert p2.decls == p1.decls
             assert p2.entry == p1.entry
+
+
+# ---------------------------------------------------------------- any text
+
+# pieces of the grammar, so that generated text gets past the first
+# character, and non-ASCII digits: `²` and `¹`, which int() refuses, and `٣`,
+# which it takes
+PIECES = st.sampled_from([
+    "p", "q", "X", "Y'", "a", "skip", "tell", "ask", "now", "then", "else",
+    "exists", "true", "||", ":-", "->", "<=", ">=", "(", ")", "[", "]", "|",
+    ",", ".", "+", "-", "*", "=", "<", ">", "_", "1", "2/3", "\u00b2",
+    "\u00b9", "\u0663", " ", "\n", "%",
+])
+
+
+@pytest.mark.parametrize("parse", [parse_program, parse_agent, parse_constraint])
+@given(text=st.one_of(st.text(), st.lists(PIECES, max_size=30).map("".join)))
+@settings(max_examples=400)
+def test_any_text_parses_or_raises_a_tccp_error(parse, text):
+    try:
+        parse(text)
+    except TccpError:
+        pass

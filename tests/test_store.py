@@ -9,9 +9,7 @@ from fractions import Fraction
 import pytest
 
 from tccp import ast
-from tccp.errors import (
-    DuplicateInScopeError, UnboundActualError, UnknownSymbolError,
-)
+from tccp.errors import UnboundActualError, UnknownSymbolError
 from tccp.parser import parse_constraint
 from tccp.store import DumpMemo, EXISTS, PROC_CALL, Store, UNBOUND
 from support import check_parameter_law
@@ -19,13 +17,6 @@ from support import check_parameter_law
 
 def C(text):
     return parse_constraint(text)
-
-
-def fresh(*names):
-    st = Store.new()
-    for n in names:
-        st.add_variable(0, n)
-    return st
 
 
 # ------------------------------------------------------------- scope tree
@@ -37,40 +28,35 @@ class TestScopes:
         assert st.scopes[0].kind == "root"
 
     def test_variables_get_unbound_cells(self):
-        st = fresh("X", "Y")
+        st = Store.new(["X", "Y"])
         assert st.counts()["registers"] == 2
         assert st.memory[st.lookup(0, "X")] == UNBOUND
 
-    def test_duplicate_variable_in_one_node_rejected(self):
-        st = fresh("X")
-        with pytest.raises(DuplicateInScopeError):
-            st.add_variable(0, "X")
-
     def test_lookup_walks_through_exists_nodes(self):
-        st = fresh("X")
-        inner = st.add_scope(EXISTS, 0)
-        innermost = st.add_scope(EXISTS, inner)
+        st = Store.new(["X"])
+        inner = st.add_scope(EXISTS, 0, {})
+        innermost = st.add_scope(EXISTS, inner, {})
         assert st.lookup(innermost, "X") == st.lookup(0, "X")
 
     def test_exists_shadows_outer_name(self):
-        st = fresh("X")
-        inner = st.add_scope(EXISTS, 0)
-        idx = st.add_variable(inner, "X")
+        st = Store.new(["X"])
+        idx = st.new_cell()
+        inner = st.add_scope(EXISTS, 0, {"X": idx})
         assert st.lookup(inner, "X") == idx
         assert st.lookup(0, "X") != idx
 
     def test_call_boundary_hides_caller_names(self):
-        st = fresh("X")
-        call = st.add_scope(PROC_CALL, 0, label="p")
+        st = Store.new(["X"])
+        call = st.add_scope(PROC_CALL, 0,
+                            {"F": st.actual_cell(ast.Var("X"), 0)}, label="p")
         with pytest.raises(UnknownSymbolError):
             st.lookup(call, "X")
         # locals under the call node still see the formals
-        st.add_parameter(call, "F", ast.Var("X"), 0)
-        body_local = st.add_scope(EXISTS, call)
+        body_local = st.add_scope(EXISTS, call, {})
         assert st.lookup(body_local, "F") == st.lookup(0, "X")
 
     def test_unknown_name_raises(self):
-        st = fresh("X")
+        st = Store.new(["X"])
         with pytest.raises(UnknownSymbolError):
             st.lookup(0, "Nope")
 
@@ -79,27 +65,25 @@ class TestScopes:
 
 class TestParameters:
     def test_var_actual_shares_the_cell(self):
-        st = fresh("X")
+        st = Store.new(["X"])
         before = st.counts()["registers"]
-        call = st.add_scope(PROC_CALL, 0)
-        st.add_parameter(call, "F", ast.Var("X"), 0)
+        call = st.add_scope(PROC_CALL, 0, {"F": st.actual_cell(ast.Var("X"), 0)})
         assert st.lookup(call, "F") == st.lookup(0, "X")
         assert st.counts()["registers"] == before
 
     def test_atom_and_num_actuals_cost_one_cell_each(self):
         st = Store.new()
-        call = st.add_scope(PROC_CALL, 0)
-        st.add_parameter(call, "A", ast.Atom("on"), 0)
-        st.add_parameter(call, "N", ast.Num(Fraction(7)), 0)
+        call = st.add_scope(PROC_CALL, 0, {
+            "A": st.actual_cell(ast.Atom("on"), 0),
+            "N": st.actual_cell(ast.Num(Fraction(7)), 0)})
         assert st.counts()["registers"] == 2
         assert st.memory[st.lookup(call, "A")] == ("const", "on")
         assert st.memory[st.lookup(call, "N")] == ("const", Fraction(7))
 
     def test_expression_actual_adds_dim_cell_and_row(self):
-        st = fresh("Y")
-        call = st.add_scope(PROC_CALL, 0)
+        st = Store.new(["Y"])
         e = ast.LinExpr.of_var("Y") + ast.LinExpr.of_num(Fraction(1))
-        st.add_parameter(call, "F", e, 0)
+        call = st.add_scope(PROC_CALL, 0, {"F": st.actual_cell(e, 0)})
         # Y picked up dim 0, the formal dim 1, linked by one equation
         assert st.counts()["dims"] == 2
         assert st.entails(0, C("Y = 3")) is False
@@ -108,43 +92,34 @@ class TestParameters:
 
     def test_unknown_var_actual_raises(self):
         st = Store.new()
-        call = st.add_scope(PROC_CALL, 0)
         with pytest.raises(UnboundActualError):
-            st.add_parameter(call, "F", ast.Var("X"), 0)
+            st.actual_cell(ast.Var("X"), 0)
 
     def test_stream_valued_expression_actual_is_a_clash(self):
-        st = fresh("X")
+        st = Store.new(["X"])
         st.add_constraint(0, C("X = a"))
-        call = st.add_scope(PROC_CALL, 0)
-        st.add_parameter(call, "F", ast.LinExpr.of_var("X"), 0)
+        st.actual_cell(ast.LinExpr.of_var("X"), 0)
         assert not st.is_consistent()
-
-    def test_duplicate_formal_rejected(self):
-        st = fresh("X")
-        call = st.add_scope(PROC_CALL, 0)
-        st.add_parameter(call, "F", ast.Var("X"), 0)
-        with pytest.raises(DuplicateInScopeError):
-            st.add_parameter(call, "F", ast.Var("X"), 0)
 
 
 # ------------------------------------------------------------------ tells
 
 class TestTell:
     def test_cons_onto_unbound_costs_two_cells(self):
-        st = fresh("X", "T")
+        st = Store.new(["X", "T"])
         before = st.counts()["registers"]
         st.add_constraint(0, C("X = [a | T]"))
         assert st.counts()["registers"] == before + 2
         assert st.memory[st.lookup(0, "X")][0] == "functor"
 
     def test_anonymous_positions_allocate_nothing_extra(self):
-        st = fresh("X")
+        st = Store.new(["X"])
         before = st.counts()["registers"]
         st.add_constraint(0, C("X = [_ | _]"))
         assert st.counts()["registers"] == before + 2
 
     def test_telling_deeper_extends_in_place(self):
-        st = fresh("X", "T")
+        st = Store.new(["X", "T"])
         st.add_constraint(0, C("X = [a | T]"))
         before = st.counts()["registers"]
         st.add_constraint(0, C("T = [b | _]"))
@@ -152,57 +127,57 @@ class TestTell:
         assert st.entails(0, C("X = [a | [b | _]]"))
 
     def test_repeated_tell_is_idempotent(self):
-        st = fresh("X", "T")
+        st = Store.new(["X", "T"])
         st.add_constraint(0, C("X = [a | T]"))
         snap = json.dumps(st.dump(), sort_keys=True)
         st.add_constraint(0, C("X = [a | T]"))
         assert json.dumps(st.dump(), sort_keys=True) == snap
 
     def test_atom_clash_latches_false(self):
-        st = fresh("X")
+        st = Store.new(["X"])
         st.add_constraint(0, C("X = a"))
         assert st.is_consistent()
         st.add_constraint(0, C("X = b"))
         assert not st.is_consistent()
 
     def test_atom_vs_number_clash(self):
-        st = fresh("X", "Y")
+        st = Store.new(["X", "Y"])
         st.add_constraint(0, C("X = a"))
         st.add_constraint(0, C("Y = [1 | _]"))
         st.add_constraint(0, ast.StreamEq("Y", ast.Cons(ast.Var("X"), ast.Anon())))
         assert not st.is_consistent()
 
     def test_structure_vs_numeric_clash(self):
-        st = fresh("X")
+        st = Store.new(["X"])
         st.add_constraint(0, C("X = 3"))
         st.add_constraint(0, C("X = [a | _]"))
         assert not st.is_consistent()
 
     def test_linear_tell_with_stream_var_is_a_clash(self):
-        st = fresh("X")
+        st = Store.new(["X"])
         st.add_constraint(0, C("X = a"))
         st.add_constraint(0, C("X > 0"))
         assert not st.is_consistent()
 
     def test_occurs_in_one_tell(self):
-        st = fresh("X")
+        st = Store.new(["X"])
         st.add_constraint(0, ast.StreamEq("X", ast.Cons(ast.Atom("a"), ast.Var("X"))))
         assert not st.is_consistent()
 
     def test_occurs_across_two_tells(self):
-        st = fresh("X", "Y")
+        st = Store.new(["X", "Y"])
         st.add_constraint(0, C("X = [a | Y]"))
         st.add_constraint(0, C("Y = [b | X]"))
         assert not st.is_consistent()
 
     def test_var_var_aliasing(self):
-        st = fresh("X", "Y")
+        st = Store.new(["X", "Y"])
         st.add_constraint(0, C("X = Y"))
         st.add_constraint(0, C("Y = on"))
         assert st.entails(0, C("X = on"))
 
     def test_number_heads_meet_the_linear_store(self):
-        st = fresh("X", "N")
+        st = Store.new(["X", "N"])
         st.add_constraint(0, C("N = 4"))
         st.add_constraint(0, ast.StreamEq("X", ast.Cons(ast.Var("N"), ast.Anon())))
         assert st.entails(0, C("X = [4 | _]"))
@@ -213,18 +188,18 @@ class TestTell:
 
 class TestEntails:
     def test_ask_is_negation_as_absence(self):
-        st = fresh("X", "Y")
+        st = Store.new(["X", "Y"])
         assert not st.entails(0, C("X = a"))
         assert not st.entails(0, C("X = Y"))
         assert not st.entails(0, C("X > 0"))
         assert st.entails(0, C("true"))
 
     def test_anonymous_pattern_always_matches(self):
-        st = fresh("X")
+        st = Store.new(["X"])
         assert st.entails(0, C("X = _"))
 
     def test_prefix_patterns(self):
-        st = fresh("X", "T")
+        st = Store.new(["X", "T"])
         st.add_constraint(0, C("X = [on | T]"))
         assert st.entails(0, C("X = [on | _]"))
         assert st.entails(0, ast.StreamEq("X", ast.Cons(ast.Atom("on"), ast.Var("T"))))
@@ -232,12 +207,12 @@ class TestEntails:
         assert not st.entails(0, C("X = [on | [a | _]]"))
 
     def test_unbound_tail_matches_nothing_but_anon(self):
-        st = fresh("X", "T", "Z")
+        st = Store.new(["X", "T", "Z"])
         st.add_constraint(0, C("X = [on | T]"))
         assert not st.entails(0, ast.StreamEq("X", ast.Cons(ast.Atom("on"), ast.Var("Z"))))
 
     def test_linear_asks_use_entailment(self):
-        st = fresh("X")
+        st = Store.new(["X"])
         st.add_constraint(0, C("X = 5"))
         assert st.entails(0, C("X > 0"))
         assert st.entails(0, C("X = 5"))
@@ -245,14 +220,14 @@ class TestEntails:
         assert not st.entails(0, C("X < 5"))
 
     def test_inconsistent_store_entails_everything(self):
-        st = fresh("X")
+        st = Store.new(["X"])
         st.add_constraint(0, C("X = a"))
         st.add_constraint(0, C("X = b"))
         assert st.entails(0, C("X = c"))
         assert st.entails(0, C("X > 100"))
 
     def test_entails_is_pure(self):
-        st = fresh("X", "Y", "T")
+        st = Store.new(["X", "Y", "T"])
         st.add_constraint(0, C("X = [on | T]"))
         st.add_constraint(0, C("Y = 3"))
         before = json.dumps(st.dump(), sort_keys=True)
@@ -268,8 +243,8 @@ class TestEntails:
 
     def test_rational_values_round_trip_in_dump(self):
         st = Store.new()
-        call = st.add_scope(PROC_CALL, 0)
-        st.add_parameter(call, "F", ast.Num(Fraction(1, 2)), 0)
+        call = st.add_scope(PROC_CALL, 0,
+                            {"F": st.actual_cell(ast.Num(Fraction(1, 2)), 0)})
         cell = st.dump()["memory"][st.lookup(call, "F")]
         assert cell == {"kind": "const", "value": "1/2"}
 
@@ -278,14 +253,14 @@ class TestEntails:
 
 class TestSnapshots:
     def test_branch_writes_stay_local(self):
-        base = fresh("X")
+        base = Store.new(["X"])
         snap = base.branch()
         snap.add_constraint(0, C("X = a"))
         assert snap.entails(0, C("X = a"))
         assert not base.entails(0, C("X = a"))
 
     def test_merge_publishes_the_writes(self):
-        base = fresh("X", "Y")
+        base = Store.new(["X", "Y"])
         s1, s2 = base.branch(), base.branch()
         s1.add_constraint(0, C("X = [a | _]"))
         s2.add_constraint(0, C("Y = 2"))
@@ -295,7 +270,7 @@ class TestSnapshots:
         assert not base.entails(0, C("Y = 2"))
 
     def test_sibling_atom_clash_latches(self):
-        base = fresh("X")
+        base = Store.new(["X"])
         s1, s2 = base.branch(), base.branch()
         s1.add_constraint(0, C("X = a"))
         s2.add_constraint(0, C("X = b"))
@@ -303,7 +278,7 @@ class TestSnapshots:
         assert not Store.merge(base, [s1, s2]).is_consistent()
 
     def test_sibling_agreement_is_no_clash(self):
-        base = fresh("X")
+        base = Store.new(["X"])
         s1, s2 = base.branch(), base.branch()
         s1.add_constraint(0, C("X = a"))
         s2.add_constraint(0, C("X = a"))
@@ -311,7 +286,7 @@ class TestSnapshots:
         assert out.is_consistent() and out.entails(0, C("X = a"))
 
     def test_sibling_streams_merge_pointwise(self):
-        base = fresh("X", "T")
+        base = Store.new(["X", "T"])
         s1, s2 = base.branch(), base.branch()
         s1.add_constraint(0, C("X = [a | T]"))
         s2.add_constraint(0, C("X = [_ | [b | _]]"))
@@ -322,7 +297,7 @@ class TestSnapshots:
 
     def test_cross_snapshot_cycle_is_inconsistent_in_both_orders(self):
         for flip in (False, True):
-            base = fresh("X", "Y")
+            base = Store.new(["X", "Y"])
             s1, s2 = base.branch(), base.branch()
             s1.add_constraint(0, C("X = [a | Y]"))
             s2.add_constraint(0, C("Y = [b | X]"))
@@ -337,7 +312,7 @@ class TestSnapshots:
                   "Y > 0", "Z = 2", "X = a"]
         for _ in range(120):
             picked = rng.sample(tells, rng.randint(1, 4))
-            base = fresh("X", "Y", "Z", "T")
+            base = Store.new(["X", "Y", "Z", "T"])
             snaps = []
             for text in picked:
                 s = base.branch()
@@ -350,7 +325,7 @@ class TestSnapshots:
                 assert fwd.entails(0, C(p)) == rev.entails(0, C(p)), (picked, p)
 
     def test_nested_merge_keeps_inner_writes(self):
-        base = fresh("X", "Y")
+        base = Store.new(["X", "Y"])
         mid = base.branch()
         mid.add_constraint(0, C("X = [a | _]"))
         inner1, inner2 = mid.branch(), mid.branch()
@@ -362,10 +337,9 @@ class TestSnapshots:
         assert out.entails(0, C("Y = 1"))
 
     def test_scope_growth_survives_a_sibling_clash(self):
-        base = fresh("X")
+        base = Store.new(["X"])
         s1, s2 = base.branch(), base.branch()
-        nid = s1.add_scope(EXISTS, 0)
-        s1.add_variable(nid, "L")
+        nid = s1.add_scope(EXISTS, 0, {"L": s1.new_cell()})
         s1.add_constraint(nid, C("L = on"))
         s2.add_constraint(0, C("X = a"))
         s2.add_constraint(0, C("X = b"))
@@ -375,7 +349,7 @@ class TestSnapshots:
         assert out.entails(nid, C("L = on"))  # trivially, by inconsistency
 
     def test_seal_forgets_the_log_only(self):
-        base = fresh("X")
+        base = Store.new(["X"])
         snap = base.branch()
         snap.add_constraint(0, C("X = a"))
         out = Store.merge(base, [snap]).seal()
@@ -390,22 +364,18 @@ def grow(st, tag):
     a = tag == "a"
     st.add_constraint(0, C("X = [a | _]" if a else "X = [_ | [b | _]]"))
     st.add_constraint(0, C("Y = 2" if a else "Y > 1"))
-    nid = st.add_scope(EXISTS, 0)
-    for name in ("L", "M"):
-        st.add_variable(nid, name)
+    nid = st.add_scope(EXISTS, 0, {name: st.new_cell() for name in "LM"})
     st.add_constraint(nid, C(f"L = [{tag} | M]"))
     st.add_constraint(nid, C("M = N + 1" if a else "M = off"))
-    call = st.add_scope(PROC_CALL, 0, label=f"p_{tag}")
-    st.add_parameter(call, "F", ast.Var("X"), 0)
-    st.add_parameter(call, "G", parse_constraint("Z = Y + 3").lhs, 0)
+    st.add_scope(PROC_CALL, 0, {
+        "F": st.actual_cell(ast.Var("X"), 0),
+        "G": st.actual_cell(parse_constraint("Z = Y + 3").lhs, 0),
+    }, label=f"p_{tag}")
 
 
 def wide(registers):
     """A sealed store with X among `registers` unbound registers."""
-    st = fresh("X")
-    for k in range(registers - 1):
-        st.add_variable(0, f"V{k}")
-    return st.seal()
+    return Store.new(["X"] + [f"V{k}" for k in range(registers - 1)]).seal()
 
 
 def branch_and_tell_bytes(base, c):
@@ -425,7 +395,7 @@ class TestCopyOnWrite:
     that grows with the store."""
 
     def test_an_asking_branch_copies_nothing(self):
-        base = fresh("X")
+        base = Store.new(["X"])
         base_dump = base.dump()
         snap = base.branch()
         assert not snap.entails(0, C("X = a"))
@@ -443,7 +413,7 @@ class TestCopyOnWrite:
         assert large_bytes < small_bytes + 1024, (small_bytes, large_bytes)
 
     def test_siblings_and_merge_leave_every_snapshot_as_it_was(self):
-        base = fresh("X", "Y", "Z", "N")
+        base = Store.new(["X", "Y", "Z", "N"])
         base_dump = base.dump()
         s1, s2 = base.branch(), base.branch()
         grow(s1, "a")
@@ -461,10 +431,10 @@ class TestCopyOnWrite:
             assert s1.dump() == s1_dump and s2.dump() == s2_dump
 
     def test_writes_after_a_branch_stay_on_their_side(self):
-        base = fresh("X", "Y")
+        base = Store.new(["X", "Y"])
         snap = base.branch()
-        nid = base.add_scope(EXISTS, 0)  # the parent writes last
-        base.add_variable(nid, "L")
+        # the parent writes last
+        base.add_scope(EXISTS, 0, {"L": base.new_cell()})
         base.add_constraint(0, C("X = a"))
         assert not snap.entails(0, C("X = a"))
         assert snap.counts() == {"nodes": 1, "registers": 2, "dims": 0}
@@ -473,25 +443,23 @@ class TestCopyOnWrite:
         mid.add_constraint(0, C("Y = b"))
         assert not inner.entails(0, C("Y = b"))
 
-    def test_a_symbol_added_on_a_branch_stays_off_its_base(self):
-        b = Store.new()
-        b.add_variable(0, "X")
+    def test_a_node_added_on_a_branch_stays_off_its_base(self):
+        b = Store.new(["X"])
+        b_dump = b.dump()
         s = b.branch()
-        s.add_variable(0, "Q")
-        assert b.dump()["scopes"][0]["symbols"] == {"X": 0}
-        with pytest.raises(UnknownSymbolError):
-            b.lookup(0, "Q")
+        nid = s.add_scope(EXISTS, 0, {"Q": s.new_cell()})
+        assert b.dump() == b_dump
+        assert b.counts() == {"nodes": 1, "registers": 1, "dims": 0}
         out = Store.merge(b, [s])
-        assert out.dump()["scopes"][0]["symbols"] == {"X": 0, "Q": 1}
-        assert b.dump()["scopes"][0]["symbols"] == {"X": 0}
+        assert out.dump()["scopes"][nid]["symbols"] == {"Q": 1}
+        assert out.lookup(nid, "X") == 0
+        assert b.dump() == b_dump
 
     def test_a_slot_a_sibling_allocated_dumps_as_null(self):
-        base = fresh("X")
+        base = Store.new(["X"])
         s1, s2 = base.branch(), base.branch()
-        n1 = s1.add_scope(EXISTS, 0)
-        s1.add_variable(n1, "L")
-        n2 = s2.add_scope(EXISTS, 0)
-        s2.add_variable(n2, "M")
+        n1 = s1.add_scope(EXISTS, 0, {"L": s1.new_cell()})
+        n2 = s2.add_scope(EXISTS, 0, {"M": s2.new_cell()})
         d = s2.dump()
         assert d["scopes"][n1] is None
         assert d["memory"][s1.lookup(n1, "L")] is None
@@ -504,26 +472,26 @@ class TestCopyOnWrite:
                 (counts["nodes"], counts["registers"])
 
     def test_a_frozen_copy_outlives_the_next_seal(self):
-        base = fresh("X").seal()
+        base = Store.new(["X"]).seal()
         kept = base.frozen()
         kept_dump = kept.dump()
         snap = base.branch()
-        snap.add_variable(0, "Q")
-        snap.add_constraint(0, C("X = [a | Q]"))
+        nid = snap.add_scope(EXISTS, 0, {"Q": snap.new_cell()})
+        snap.add_constraint(nid, C("X = [a | Q]"))
         out = Store.merge(base, [snap]).seal()
         assert out.entails(0, C("X = [a | _]"))
-        assert out.dump()["scopes"][0]["symbols"] == {"X": 0, "Q": 1}
+        assert out.dump()["scopes"][nid]["symbols"] == {"Q": 1}
         assert kept.dump() == kept_dump
         assert not kept.entails(0, C("X = [a | _]"))
 
     def test_a_merge_that_shares_its_base_copies_before_writing(self):
-        base = fresh("X")
+        base = Store.new(["X"])
         snap = base.branch()
         snap.entails(0, C("X = a"))
         out = Store.merge(base, [snap])
         base_dump = base.dump()
         out.add_constraint(0, C("X = a"))
-        out.add_scope(EXISTS, 0)
+        out.add_scope(EXISTS, 0, {})
         assert base.dump() == base_dump
         assert out.entails(0, C("X = a"))
 
@@ -535,30 +503,29 @@ def compact(st):
 class TestDumpMemo:
     """`dump(memo)` is the compact JSON of `dump()`, whatever the memo
     rendered before: a slot is encoded again when it holds another cell
-    or node, or when its node gained symbols."""
+    or node."""
 
     def test_a_live_snapshot_dumped_before_and_after_it_grows(self):
-        base = fresh("X", "Y").seal()
+        base = Store.new(["X", "Y"]).seal()
         snap = base.branch()
-        nid = snap.add_scope(EXISTS, 0)
-        snap.add_variable(nid, "L")
+        nid = snap.add_scope(EXISTS, 0, {"L": snap.new_cell()})
         memo = DumpMemo()
         before = snap.dump(memo)
         assert before == compact(snap)
-        snap.add_variable(nid, "M")  # the same node object, one more symbol
-        snap.add_variable(0, "Q")  # a copy of the root in the delta
-        snap.add_constraint(nid, C("L = [a | M]"))
+        inner = snap.add_scope(EXISTS, nid, {"M": snap.new_cell()})
+        snap.add_constraint(inner, C("L = [a | M]"))
         snap.add_constraint(0, C("X = Y + 1"))
         after = snap.dump(memo)
         assert after == compact(snap) != before
-        assert json.loads(after)["scopes"][nid]["symbols"] == \
-            {"L": 2, "M": 3}
+        scopes = json.loads(after)["scopes"]
+        assert (scopes[nid]["symbols"], scopes[inner]["symbols"]) == \
+            ({"L": 2}, {"M": 3})
 
     def test_slots_a_sibling_allocated_turn_null_and_back(self):
-        base = fresh("X")
+        base = Store.new(["X"])
         s1, s2 = base.branch(), base.branch()
         for st, name in ((s1, "L"), (s2, "M")):
-            st.add_variable(st.add_scope(EXISTS, 0), name)
+            st.add_scope(EXISTS, 0, {name: st.new_cell()})
             st.add_constraint(0, C(f"X = [{name.lower()} | _]"))
         memo = DumpMemo()
         for st in (s2, s1, s2, base, s1):
@@ -575,10 +542,10 @@ LONG = 3000  # cells per stream: far past Python's default recursion limit
 def tell_stream(st, scope, var, values):
     """Tell var = [v0, v1, ... | nil] one cell per tell, through fresh tail
     variables, so that no single tell or term is deep."""
-    node = st.add_scope(EXISTS, scope)
+    node = st.add_scope(EXISTS, scope,
+                        {f"T{k}": st.new_cell() for k in range(len(values))})
     prev = var
     for k, v in enumerate(values):
-        st.add_variable(node, f"T{k}")
         st.add_constraint(node, C(f"{prev} = [{v} | T{k}]"))
         prev = f"T{k}"
     st.add_constraint(node, C(f"{prev} = nil"))
@@ -594,7 +561,7 @@ def long_values(same):
 class TestLongStreams:
     def test_tell_walks_both_streams(self, same):
         v, w = long_values(same)
-        st = fresh("V", "W")
+        st = Store.new(["V", "W"])
         tell_stream(st, 0, "V", v)
         tell_stream(st, 0, "W", w)
         registers = st.counts()["registers"]
@@ -604,7 +571,7 @@ class TestLongStreams:
 
     def test_ask_walks_both_streams(self, same):
         v, w = long_values(same)
-        st = fresh("V", "W")
+        st = Store.new(["V", "W"])
         tell_stream(st, 0, "V", v)
         tell_stream(st, 0, "W", w)
         assert st.entails(0, C("V = W")) == same
@@ -613,7 +580,7 @@ class TestLongStreams:
     def test_merge_walks_both_streams(self, same):
         v, w = long_values(same)
         for flip in (False, True):
-            base = fresh("V", "W")
+            base = Store.new(["V", "W"])
             told, built = base.branch(), base.branch()
             told.add_constraint(0, C("V = W"))
             tell_stream(built, 0, "V", v)
