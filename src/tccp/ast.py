@@ -8,58 +8,98 @@ numbers and variables) or affine comparisons over numeric variables.
 Linear expressions are kept in normalized affine form (sorted coefficient
 table plus a constant) so structural equality is semantic equality and the
 pretty-printer round-trips through the parser.
+
+Nodes are hand-slotted classes over one small base, `_Node`, because
+every `tccp` process builds them before it reads any program text. As
+frozen dataclasses they cost about 25 ms of the 41 ms that
+`import tccp.cli` took (CPython 3.11.7, bytecode present): the
+decorators, and `dataclasses` itself with `inspect`, `dis` and
+`tokenize`. Slotted, the import takes 14 ms. A tuple base would make
+`Var("X") == Atom("X")`. `tests/test_cli.py::TestStartup` fails if
+importing the package loads `dataclasses`, `inspect` or `typing` again.
 """
 
-from dataclasses import dataclass, field
 from fractions import Fraction
+
+
+class _Node:
+    """An immutable syntax node, equal to a node of the same class with
+    equal fields. A subclass names its fields in __slots__, the values of
+    its trailing optional fields in _defaults, and in _fractions the
+    fields it stores as a Fraction."""
+
+    __slots__ = ()
+    _defaults = ()
+    _fractions = ()
+
+    def __init__(self, *args):
+        fields, defaults = self.__slots__, self._defaults
+        missing = len(fields) - len(args)
+        if not 0 <= missing <= len(defaults):
+            raise TypeError(f"{type(self).__name__}() takes {len(fields)} "
+                            f"fields, got {len(args)}")
+        args += defaults[len(defaults) - missing:]
+        for name, value in zip(fields, args):
+            if name in self._fractions:
+                value = Fraction(value)
+            object.__setattr__(self, name, value)
+
+    def _fields(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return type(self).__name__ + "(" + ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self.__slots__) + ")"
+
+    def _frozen(self, name, *value):
+        raise AttributeError(f"{type(self).__name__} is immutable: {name!r}")
+
+    __setattr__ = __delattr__ = _frozen
 
 
 # ---------------------------------------------------------------- terms
 
-@dataclass(frozen=True)
-class Atom:
-    name: str
+class Atom(_Node):
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True)
-class Num:
-    value: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", Fraction(self.value))
+class Num(_Node):
+    __slots__ = ("value",)
+    _fractions = ("value",)
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+class Var(_Node):
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True)
-class Anon:
-    pass
+class Anon(_Node):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Cons:
-    head: object
-    tail: object
+class Cons(_Node):
+    __slots__ = ("head", "tail")
 
 
 # ----------------------------------------------------- linear expressions
 
-@dataclass(frozen=True)
-class LinExpr:
+class LinExpr(_Node):
     """Affine expression: sum of coeff*var plus a constant.
 
     coeffs is a tuple of (name, Fraction) pairs, sorted by name, with no
     zero coefficients.
     """
 
-    coeffs: tuple = ()
-    const: Fraction = Fraction(0)
-
-    def __post_init__(self):
-        object.__setattr__(self, "const", Fraction(self.const))
+    __slots__ = ("coeffs", "const")
+    _defaults = ((), Fraction(0))
+    _fractions = ("const",)
 
     @staticmethod
     def of_var(name):
@@ -94,81 +134,61 @@ class LinExpr:
 
 # ------------------------------------------------------------ constraints
 
-@dataclass(frozen=True)
-class CTrue:
-    pass
+class CTrue(_Node):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class StreamEq:
+class StreamEq(_Node):
     """var = term, where term is an atom, number, variable, `_` or cons cell."""
 
-    var: str
-    rhs: object
+    __slots__ = ("var", "rhs")
 
 
-@dataclass(frozen=True)
-class Linear:
+class Linear(_Node):
     """lhs op rhs over affine expressions; op is one of = < > <= >=."""
 
-    lhs: LinExpr
-    op: str
-    rhs: LinExpr
+    __slots__ = ("lhs", "op", "rhs")
 
 
 # ----------------------------------------------------------------- agents
 
-@dataclass(frozen=True)
-class Skip:
-    pass
+class Skip(_Node):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Tell:
-    constraint: object
+class Tell(_Node):
+    __slots__ = ("constraint",)
 
 
-@dataclass(frozen=True)
-class Parallel:
-    agents: tuple
+class Parallel(_Node):
+    __slots__ = ("agents",)
 
 
-@dataclass(frozen=True)
-class Choice:
-    branches: tuple  # of (guard constraint, body agent)
+class Choice(_Node):
+    __slots__ = ("branches",)  # of (guard constraint, body agent)
 
 
-@dataclass(frozen=True)
-class Now:
-    cond: object
-    then_agent: object
-    else_agent: object
+class Now(_Node):
+    __slots__ = ("cond", "then_agent", "else_agent")
 
 
-@dataclass(frozen=True)
-class Exists:
-    vars: tuple
-    body: object
+class Exists(_Node):
+    __slots__ = ("vars", "body")
 
 
-@dataclass(frozen=True)
-class Call:
-    name: str
-    actuals: tuple = ()  # each an Atom, Num, Var or LinExpr
+class Call(_Node):
+    __slots__ = ("name", "actuals")  # each actual an Atom, Num, Var or LinExpr
+    _defaults = ((),)
 
 
-@dataclass(frozen=True)
-class Decl:
-    name: str
-    formals: tuple
-    body: object
+class Decl(_Node):
+    __slots__ = ("name", "formals", "body")
 
 
-@dataclass(frozen=True)
-class Program:
-    decls: tuple = ()
-    entry: object = None
-    entry_vars: tuple = ()  # free variables of the entry, root-scope order
+class Program(_Node):
+    # entry_vars: free variables of the entry, root-scope order
+    __slots__ = ("decls", "entry", "entry_vars")
+    _defaults = ((), None, ())
 
     def decl(self, name):
         for d in self.decls:
@@ -196,8 +216,25 @@ def pretty_term(t):
 def pretty_num(v):
     """An integer or Fraction as `n` or `n/d`."""
     if v.denominator == 1:
-        return str(v.numerator)
-    return f"{v.numerator}/{v.denominator}"
+        return _int_text(v.numerator)
+    return _int_text(v.numerator) + "/" + _int_text(v.denominator)
+
+
+_CHUNK = 10 ** 4000
+
+
+def _int_text(n):
+    """str(n) for an int of any length. str() refuses more than 4300
+    digits, so a longer int is printed 4000 digits at a time."""
+    try:
+        return str(n)
+    except ValueError:
+        pass
+    sign, n, chunks = "-" if n < 0 else "", abs(n), []
+    while n >= _CHUNK:
+        n, low = divmod(n, _CHUNK)
+        chunks.append(str(low).zfill(4000))
+    return sign + str(n) + "".join(reversed(chunks))
 
 
 def pretty_linexpr(e):

@@ -24,9 +24,8 @@ run ends quiescent and the store stays as it was.
 """
 
 import random
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from itertools import repeat
-from typing import NamedTuple
 
 from . import ast
 from .ast import pretty_agent
@@ -35,9 +34,7 @@ from .store import EXISTS, PROC_CALL, Store
 RUNNING, QUIESCENT, FAILED = "running", "quiescent", "failed"
 
 
-class Thread(NamedTuple):
-    agent: object
-    scope: int
+Thread = namedtuple("Thread", "agent scope")
 
 
 class ChoicePolicy:
@@ -62,21 +59,9 @@ class ChoicePolicy:
         return enabled[rng.randrange(len(enabled))]
 
 
-@dataclass
-class Config:
-    program: ast.Program
-    store: Store
-    active: list
-    clock: int
-    status: str
+Config = namedtuple("Config", "program store active clock status")
 
-
-@dataclass(frozen=True)
-class TraceStep:
-    clock: int
-    status: str
-    store: Store
-    agents: tuple
+TraceStep = namedtuple("TraceStep", "clock status store agents")
 
 
 def initial_config(program):
@@ -164,7 +149,7 @@ def step(config, policy, rng):
     snaps, threads, moved = _run_threads(config.program, config.active,
                                          base, policy, rng)
     if not moved:
-        return False, replace(config, status=QUIESCENT)
+        return False, config._replace(status=QUIESCENT)
     store = Store.merge(base, snaps).seal()
     if not store.is_consistent():
         status = FAILED
@@ -209,5 +194,5 @@ def run(program, steps, policy=None, seed=None, every=1):
             break  # a step that moved nothing returns a quiescent config
     if not trace or trace[-1].clock != config.clock:
         trace.append(_trace_step(config))
-    trace[-1] = replace(trace[-1], status=config.status)
+    trace[-1] = trace[-1]._replace(status=config.status)
     return trace

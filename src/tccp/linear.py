@@ -21,7 +21,7 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd
 
-from .ast import LinExpr, pretty_linexpr
+from .ast import LinExpr, pretty_linexpr, pretty_num
 from .errors import UnallocatedDimensionError
 
 # canonical row: (op, ((dim, int_coef), ...), int_const) meaning expr op 0
@@ -438,7 +438,7 @@ def ls_project(s, dim):
 def dump_row(r):
     op, coeffs, const = r
     lhs = pretty_linexpr(LinExpr(tuple((f"D_{d}", c) for d, c in coeffs)))
-    return f"{lhs} {op} {-const}"
+    return f"{lhs} {op} {pretty_num(-const)}"
 
 
 def dump_lin(s):

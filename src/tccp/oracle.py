@@ -9,7 +9,7 @@ constraint over the entry variables; they are free to disagree on
 representation internals such as register or dimension counts.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from . import ast
@@ -321,20 +321,10 @@ def sub_agent(a, mapping):
 
 # --------------------------------------------------------- transitions
 
-@dataclass
-class OracleConfig:
-    program: ast.Program
-    agent: object  # None when every component has finished
-    state: OracleState
-    clock: int
-    status: str
+# agent is None when every component has finished
+OracleConfig = namedtuple("OracleConfig", "program agent state clock status")
 
-
-@dataclass(frozen=True)
-class OracleStep:
-    clock: int
-    status: str
-    state: OracleState
+OracleStep = namedtuple("OracleStep", "clock status state")
 
 
 def o_initial(program):

@@ -198,6 +198,21 @@ class TestExitCodes:
             (1, "", f"error: {p}: not UTF-8 text: invalid continuation byte"
                     " at byte 5\n")
 
+    @pytest.mark.parametrize("fmt", ["jsonl", "text"])
+    def test_a_constant_past_4300_digits_is_printed_whole(self, cli, tmp_path,
+                                                          fmt):
+        # the product has 6000 digits, more than str() converts; it is
+        # built from strings, so the test makes no such conversion itself
+        p = tmp_path / "big.tccp"
+        nines = "9" * 3000
+        p.write_text(f"main(X) :- tell(X = {nines} * {nines}).\n")
+        code, out, err = cli("run", "--program", str(p), "--entry", "main(X)",
+                             "--steps", "2", "--format", fmt)
+        assert code == 0 and err == ""
+        product = "9" * 2999 + "8" + "0" * 2999 + "1"
+        assert f"tell(X = {product})" in out  # the agent
+        assert f"D_0 = {product}" in out  # the lin row
+
     def test_negative_steps_exit_one(self, cli, empty_program):
         code, _, err = cli("run", "--program", empty_program,
                            "--entry", "skip", "--steps", "-1")
@@ -289,6 +304,17 @@ class TestExitCodes:
 
 
 # ---------------------------------------------------------- determinism
+
+class TestStartup:
+    def test_import_loads_no_dataclasses_inspect_or_typing(self):
+        # -S: site would load typing itself and hide the package loading it
+        code = ("import sys, tccp.cli; print(sorted({'dataclasses', "
+                "'inspect', 'typing'} & set(sys.modules)))")
+        r = subprocess.run([sys.executable, "-S", "-c", code],
+                           capture_output=True, text=True, env=cli_child_env(0))
+        assert r.returncode == 0, r.stderr
+        assert r.stdout == "[]\n"
+
 
 class TestDeterminism:
     def test_five_runs_byte_identical_jsonl(self):
