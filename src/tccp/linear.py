@@ -369,14 +369,12 @@ def ls_entails(s, r):
     return ans
 
 
-def ls_meet(a, b):
-    """Least upper bound of two stores grown from a common ancestor."""
-    dims = max(a.dims, b.dims)
-    have = set(a.rows)
-    new = tuple(r for r in b.rows if r not in have)
-    if b.empty and not a.empty:
-        return LinStore(dims, a.rows + new, a.solved, a.ineqs, True)
-    return _told(a, dims, new)
+def ls_meet(base, lins):
+    """Least upper bound of stores that each grew from `base`, so that their
+    own rows follow base's: those rows, told to `base` once each, in order.
+    With `ls_new()` as base this is the meet of any stores."""
+    new = dict.fromkeys(r for s in lins for r in s.rows[len(base.rows):])
+    return _told(base, max(s.dims for s in lins), tuple(new))
 
 
 def ls_project(s, dim):

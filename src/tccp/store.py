@@ -126,7 +126,9 @@ def _fold(base, delta, size):
 
 class Layer:
     """Read-only view of one array of a store (`memory` or `scopes`), as
-    far as the store sees it; a slot that a sibling allocated is None."""
+    far as the store sees it; a slot that a sibling allocated is None. A
+    view, not a list: the benchmark's tracer takes `len` of both on every
+    `branch()`, and lists tripled its step time (until ROADMAP item 4)."""
 
     __slots__ = ("base", "delta", "size")
 
@@ -611,27 +613,24 @@ class Store:
         """
         out = base.branch()
         base_log, base_len = base.write_log, base.n_cells
-        logs = []
+        # each lin grew from base.lin; one that only grew dims still counts
+        lins = [snap.lin for snap in locals_ if snap.lin is not base.lin]
+        if lins:
+            out.lin = ls_meet(base.lin, lins)
         for snap in locals_:
             out.step_false = out.step_false or snap.step_false
-            # out.lin grew from base.lin, so it holds every row of a
-            # sibling that told none
-            if snap.lin is not base.lin:
-                out.lin = ls_meet(out.lin, snap.lin)
             for nid, node in snap.node_log.items():
                 if nid >= base.n_nodes:  # created by the snapshot
                     out.node_log[nid] = node
                     out.n_nodes = max(out.n_nodes, nid + 1)
-            # the snapshot's own writes: what it holds beyond base's delta
-            logs.append(sorted((idx, cell)
-                               for idx, cell in snap.write_log.items()
-                               if base_log.get(idx) is not cell))
-        for log in logs:  # creations first: indices are disjoint by allocator
-            for idx, cell in log:
+            # its own writes (beyond base's delta): new registers, then older
+            # ones; allocation keeps indices disjoint across siblings
+            own = sorted((idx, cell) for idx, cell in snap.write_log.items()
+                         if base_log.get(idx) is not cell)
+            for idx, cell in own:
                 if idx >= base_len:
                     out._set(idx, cell)
-        for log in logs:
-            for idx, cell in log:
+            for idx, cell in own:
                 if idx < base_len:
                     out._unify(idx, cell[1] if cell[0] == "ref" else cell)
         return out

@@ -321,8 +321,8 @@ def check_projection_axioms(rng, n_stores, dims=3):
         assert all(ls_entails(ls_project(s, x), r)
                    for r in ls_project(weaker, x).rows), i
         # (c) projecting out x absorbs an already-projected conjunct
-        lhs = ls_project(ls_meet(s, ls_project(d, x)), x)
-        rhs = ls_meet(ls_project(s, x), ls_project(d, x))
+        lhs = ls_project(ls_meet(ls_new(), [s, ls_project(d, x)]), x)
+        rhs = ls_meet(ls_new(), [ls_project(s, x), ls_project(d, x)])
         assert equiv_or_both_empty(lhs, rhs), i
         # (d) projections commute
         assert equiv_or_both_empty(
@@ -392,11 +392,13 @@ def check_parameter_law(rng, n_setups):
 def cli_child_env(seed):
     """Environment for a `python -m tccp.cli` child process.
 
-    It sets PYTHONHASHSEED to seed and is otherwise minimal, so the
-    caller's own settings cannot leak into the child. PYTHONPATH names
-    the directory holding the `tccp` package this process imported, so
-    the child runs the same source tree from a bare checkout
-    (`PYTHONPATH=src`) and from an installed copy alike.
+    It sets PYTHONHASHSEED to seed and PYTHONDONTWRITEBYTECODE, so that
+    no child writes `__pycache__` into the source tree, and is otherwise
+    minimal, so the caller's own settings cannot leak into the child.
+    PYTHONPATH names the directory holding the `tccp` package this
+    process imported, so the child runs the same source tree from a bare
+    checkout (`PYTHONPATH=src`) and from an installed copy alike.
     """
-    return {"PYTHONHASHSEED": str(seed), "PATH": "/usr/bin:/bin",
+    return {"PYTHONHASHSEED": str(seed), "PYTHONDONTWRITEBYTECODE": "1",
+            "PATH": "/usr/bin:/bin",
             "PYTHONPATH": str(Path(tccp.__file__).resolve().parents[1])}

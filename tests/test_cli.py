@@ -307,13 +307,15 @@ class TestExitCodes:
 
 class TestStartup:
     def test_import_loads_no_dataclasses_inspect_or_typing(self):
-        # -S: site would load typing itself and hide the package loading it
+        # -S: site would load typing itself and hide the package loading it;
+        # the child also reports that it writes no bytecode into the tree
         code = ("import sys, tccp.cli; print(sorted({'dataclasses', "
-                "'inspect', 'typing'} & set(sys.modules)))")
+                "'inspect', 'typing'} & set(sys.modules)), "
+                "sys.dont_write_bytecode)")
         r = subprocess.run([sys.executable, "-S", "-c", code],
                            capture_output=True, text=True, env=cli_child_env(0))
         assert r.returncode == 0, r.stderr
-        assert r.stdout == "[]\n"
+        assert r.stdout == "[] True\n"
 
 
 class TestDeterminism:

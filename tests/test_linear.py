@@ -192,25 +192,25 @@ class TestMeet:
         rng = random.Random(31)
         for _ in range(60):
             s = random_store(rng, dims=3)
-            m = ls_meet(s, s)
+            m = ls_meet(ls_new(), [s, s])
             assert m.rows == s.rows and m.dims == s.dims
 
     def test_meet_of_bounds_pins_the_value(self):
         a = store(1, R(">=", {0: 1}, -1))
         b = store(1, R("<=", {0: 1}, -1))
-        assert ls_entails(ls_meet(a, b), R("=", {0: 1}, -1))
+        assert ls_entails(ls_meet(ls_new(), [a, b]), R("=", {0: 1}, -1))
 
     def test_meet_of_disjoint_bounds_is_empty(self):
         a = store(1, R(">=", {0: 1}, -1))
         b = store(1, R("<=", {0: 1}, 0))
-        assert ls_is_empty(ls_meet(a, b))
+        assert ls_is_empty(ls_meet(ls_new(), [a, b]))
 
     def test_meet_commutes_up_to_equivalence(self):
         rng = random.Random(32)
         for _ in range(60):
             a = random_store(rng, dims=3)
             b = random_store(rng, dims=3)
-            ab, ba = ls_meet(a, b), ls_meet(b, a)
+            ab, ba = ls_meet(ls_new(), [a, b]), ls_meet(ls_new(), [b, a])
             assert ls_is_empty(ab) == ls_is_empty(ba)
             if not ls_is_empty(ab):
                 assert stores_equivalent(ab, ba)
@@ -218,7 +218,7 @@ class TestMeet:
     def test_meet_takes_the_wider_dim_space(self):
         a = store(2, R("=", {0: 1}, 0))
         b = store(4, R("=", {3: 1}, -1))
-        m = ls_meet(a, b)
+        m = ls_meet(ls_new(), [a, b])
         assert m.dims == 4
         assert ls_entails(m, R("=", {3: 1}, -1))
 
@@ -268,9 +268,7 @@ class TestSolvedForm:
                                          for d in dims_},
                                         rng.randint(-100, 100)))
                 sibs.append(sib)
-            m = base
-            for sib in sibs:
-                m = ls_meet(m, sib)
+            m = ls_meet(base, sibs)
             told = []
             for sib in sibs:
                 told += [r for r in sib.rows[len(base.rows):] if r not in told]
@@ -373,8 +371,8 @@ class TestProjection:
             c = random_store(rng, dims=3)
             d = random_store(rng, dims=3)
             x = rng.randrange(3)
-            lhs = ls_project(ls_meet(c, ls_project(d, x)), x)
-            rhs = ls_meet(ls_project(c, x), ls_project(d, x))
+            lhs = ls_project(ls_meet(ls_new(), [c, ls_project(d, x)]), x)
+            rhs = ls_meet(ls_new(), [ls_project(c, x), ls_project(d, x)])
             assert ls_is_empty(lhs) == ls_is_empty(rhs)
             if not ls_is_empty(lhs):
                 assert stores_equivalent(lhs, rhs)

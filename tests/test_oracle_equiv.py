@@ -11,10 +11,12 @@ content surfaces as a flipped answer.
 import hashlib
 import random
 
+from fractions import Fraction
 from importlib import resources
 
 import pytest
 
+from tccp import ast
 from tccp.ast import pretty_constraint
 from tccp.interp import ChoicePolicy, run
 from tccp.oracle import o_run
@@ -101,4 +103,31 @@ class TestLongStreams:
         m = machine_observables(run(program, 1200, every=0), probes)
         o = oracle_observables(o_run(program, 1200)[-1:], probes)
         assert m[0][:2] == (1200, "running")
+        assert m == o
+
+    def test_two_numeric_streams_of_six_hundred_cells(self):
+        # each instant adds one cell and one linear equality to each
+        # stream, so the final stores hold long chains of dimensions. The
+        # run stops at 600 instants to stay within the slowest oracle
+        # test's time (about 2 s); 1200 instants take about 3 s.
+        program = parse_program(
+            "gen(S, N) :- now (N > 1000000) then skip else exists T, M "
+            "(tell(S = [N | T]) || tell(M = N + 1) || gen(T, M)).",
+            entry="gen(A, 0) || gen(B, 0)")
+
+        def prefix(values):
+            t = ast.Anon()
+            for v in reversed(values):
+                t = ast.Cons(ast.Num(Fraction(v)), t)
+            return t
+
+        counted = list(range(599))
+        off_by_one = counted[:-1] + [counted[-1] + 1]
+        deep = [ast.StreamEq("A", prefix(counted)),
+                ast.StreamEq("B", prefix(off_by_one))]
+        probes = probe_set(program) + deep
+        m = machine_observables(run(program, 600, every=0), probes)
+        o = oracle_observables(o_run(program, 600)[-1:], probes)
+        assert m[0][:3] == (600, "running", True)
+        assert m[0][3][-2:] == (True, False)
         assert m == o

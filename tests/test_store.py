@@ -356,6 +356,22 @@ class TestSnapshots:
         assert out.write_log == {} and out.node_log == {}
         assert out.entails(0, C("X = a"))
 
+    def test_merge_tells_each_new_row_once_at_the_widest_dims(self):
+        base = Store.new(["X", "Y", "Z"])
+        base.add_constraint(0, C("Z >= 0"))  # Z gets dimension 0
+        base.add_constraint(0, C("X = Y"))
+        widened, same1, same2, idle = snaps = [base.branch() for _ in range(4)]
+        for s in (same1, same2):
+            s.add_constraint(0, C("Z <= 5"))
+        widened.add_constraint(0, C("X + 1 = Y + 1"))  # a dimension, no row
+        assert widened.lin.rows == base.lin.rows
+        assert widened.lin.dims == 2 and same1.lin.dims == 1
+        (told,) = same1.lin.rows[len(base.lin.rows):]
+        out = Store.merge(base, snaps)
+        assert out.lin.rows == base.lin.rows + (told,)
+        assert out.counts()["dims"] == 2
+        assert out.entails(0, C("Z <= 5")) and out.entails(0, C("X = Y"))
+
 
 # ------------------------------------------------- snapshot isolation
 
