@@ -14,21 +14,23 @@ Stores are stepped through snapshots: each thread of one time instant
 executes on its own branch. Every store of one run shares one `Base`:
 the allocation counters, which keep register, node and dimension indices
 disjoint so that they survive the merge verbatim, and the base lists of
-registers and scope nodes. Each store adds its own delta: the registers
-it wrote and the scope nodes it created. A scope node gets all its
+registers and scope nodes. A store reads its own writes (the registers
+and scope nodes it made since it was branched), then the view that its
+parent had at the branch, then the base. A scope node gets all its
 symbols when it is made and is never changed after, so stores, frozen
-copies and dump memos share nodes as they are. Reads look in the delta
-first, then in the base.
-Branching copies the delta only, so it costs O(this instant's changes),
-not O(store). Merging replays each branch's writes onto a branch of the
-base through unification; a clash (atom vs number, structure vs numeric,
-occurs cycle) latches the whole store inconsistent.
+copies and dump memos share nodes. Branching is O(1): a parent builds
+its view at most once between two of its own writes, and its branches
+share it. Merging reads only the siblings' own writes: siblings that
+changed nothing drop out, the first writer is adopted in O(its own
+writes), and each other writer's own writes are replayed onto it through
+unification; a clash (atom vs number, structure vs numeric, occurs
+cycle) latches the whole store inconsistent.
 
-Only `seal()` writes the base lists: it folds the delta into them in
-place, again in O(this instant's changes), and so invalidates every
-other store over the same base, the sealed store's own ancestors and
-siblings included. A store that must outlive the next seal is copied
-first with `frozen()`, which costs O(store).
+Only `seal()` writes the base lists: it folds the view into them in
+place, in O(this instant's changes), and so invalidates every other
+store over the same base, the sealed store's own ancestors and siblings
+included. A store that must outlive the next seal is copied first with
+`frozen()`, which costs O(store).
 """
 
 from fractions import Fraction
@@ -117,18 +119,20 @@ def _overlaid(base, delta, size):
     return out
 
 
-def _fold(base, delta, size):
-    """Write the delta into the base list in place."""
+def _fold(base, size, *deltas):
+    """Write the deltas, in order, into the base list in place."""
     base.extend([None] * (size - len(base)))
-    for i, x in delta.items():
-        base[i] = x
+    for delta in deltas:
+        for i, x in delta.items():
+            base[i] = x
 
 
 class Layer:
     """Read-only view of one array of a store (`memory` or `scopes`), as
-    far as the store sees it; a slot that a sibling allocated is None. A
-    view, not a list: the benchmark's tracer takes `len` of both on every
-    `branch()`, and lists tripled its step time (until ROADMAP item 4)."""
+    far as the store's view over the base shows it; a slot that a sibling
+    allocated is None. Not a list: the benchmark's tracer takes `len` of
+    both on every `branch()`, and lists tripled its step time (until
+    ROADMAP item 4)."""
 
     __slots__ = ("base", "delta", "size")
 
@@ -238,16 +242,19 @@ def _memo_texts(held, text, items, render):
 
 
 class Store:
-    """One value of the store: a delta over the base that it shares with
-    every other store of its run (see the module docstring)."""
+    """One value of the store: own writes over an inherited view over the
+    base that every store of its run shares (see the module docstring)."""
 
-    __slots__ = ("base", "write_log", "node_log", "n_cells", "n_nodes",
-                 "lin", "step_false")
+    __slots__ = ("base", "inherited", "node_inherited", "write_log",
+                 "node_log", "view", "n_cells", "n_nodes", "lin",
+                 "step_false")
 
     def __init__(self):
         self.base = Base()
-        self.write_log = {}  # register index -> cell, written since the seal
-        self.node_log = {}  # node id -> node, made or changed since the seal
+        self.inherited = self.node_inherited = {}  # the parent's view: read only
+        self.write_log = {}  # register index -> cell, written since the branch
+        self.node_log = {}  # node id -> node, made since the branch
+        self.view = None  # (cells, nodes) inherited plus own, once built
         # lengths of memory and scopes as this store sees them, counting
         # slots that only a sibling filled
         self.n_cells = 0
@@ -264,37 +271,41 @@ class Store:
 
     @property
     def memory(self):
-        return Layer(self.base.memory, self.write_log, self.n_cells)
+        return Layer(self.base.memory, self._view()[0], self.n_cells)
 
     @property
     def scopes(self):
-        return Layer(self.base.scopes, self.node_log, self.n_nodes)
+        return Layer(self.base.scopes, self._view()[1], self.n_nodes)
 
     # ------------------------------------------------------------ branches
 
+    def _view(self):
+        """(cells, nodes), inherited under own writes; never changed."""
+        if self.view is None:
+            self.view = ({**self.inherited, **self.write_log},
+                         {**self.node_inherited, **self.node_log})
+        return self.view
+
     def branch(self):
-        """Snapshot for one thread/agent of the current instant: this
-        store's delta over the same base, O(delta). The two sides share
-        the delta's nodes, which nothing changes, and later writes on
-        either side stay there."""
+        """Snapshot for one thread/agent of the current instant: no own
+        writes over this store's view, which both share and neither
+        changes, O(1) once the view is built."""
         s = Store.__new__(Store)
-        s.base = self.base
-        s.write_log = self.write_log.copy()
-        s.node_log = self.node_log.copy()
-        s.n_cells = self.n_cells
-        s.n_nodes = self.n_nodes
-        s.lin = self.lin
-        s.step_false = self.step_false
+        s.inherited, s.node_inherited = self.view or self._view()
+        s.write_log, s.node_log, s.view = {}, {}, None
+        s.base, s.n_cells, s.n_nodes, s.lin, s.step_false = \
+            self.base, self.n_cells, self.n_nodes, self.lin, self.step_false
         return s
 
     def seal(self):
-        """Fold the delta into the base lists, in place. Every other store
+        """Fold the view into the base lists, in place. Every other store
         over this base reads the result from now on, so none of them is
-        valid any more; this one stays valid, with an empty delta."""
-        _fold(self.base.memory, self.write_log, self.n_cells)
-        _fold(self.base.scopes, self.node_log, self.n_nodes)
-        self.write_log = {}
-        self.node_log = {}
+        valid any more; this one stays valid, with nothing over the base."""
+        _fold(self.base.memory, self.n_cells, self.inherited, self.write_log)
+        _fold(self.base.scopes, self.n_nodes, self.node_inherited,
+              self.node_log)
+        self.inherited = self.node_inherited = {}
+        self.write_log, self.node_log, self.view = {}, {}, None
         return self
 
     def frozen(self):
@@ -302,24 +313,24 @@ class Store:
         store, over a base of its own that cannot be sealed."""
         s = self.branch()
         base = s.base = Base()
-        base.memory = tuple(_overlaid(self.base.memory, self.write_log,
+        base.memory = tuple(_overlaid(self.base.memory, s.inherited,
                                       self.n_cells))
-        base.scopes = tuple(_overlaid(self.base.scopes, self.node_log,
+        base.scopes = tuple(_overlaid(self.base.scopes, s.node_inherited,
                                       self.n_nodes))
-        base.next_cell = self.base.next_cell
-        base.next_node = self.base.next_node
-        base.next_dim = self.base.next_dim
-        s.write_log = {}
-        s.node_log = {}
+        base.next_cell, base.next_node, base.next_dim = (
+            self.base.next_cell, self.base.next_node, self.base.next_dim)
+        s.inherited = s.node_inherited = {}
         return s
 
     # ----------------------------------------------------------- low level
 
     def _cell(self, idx):
-        return self.write_log.get(idx) or self.base.memory[idx]
+        return (self.write_log.get(idx) or self.inherited.get(idx)
+                or self.base.memory[idx])
 
     def _set(self, idx, cell):
         self.write_log[idx] = cell
+        self.view = None
         if idx >= self.n_cells:
             self.n_cells = idx + 1
 
@@ -339,12 +350,16 @@ class Store:
         self.lin = ls_add(ls_grow(self.lin, self.base.next_dim), r)
 
     def deref(self, idx):
-        log, memory = self.write_log, self.base.memory
-        cell = log.get(idx) or memory[idx]
+        return self._deref(idx)[0]
+
+    def _deref(self, idx):
+        """The register at the end of idx's ref chain, and its cell."""
+        log, inh, memory = self.write_log, self.inherited, self.base.memory
+        cell = log.get(idx) or inh.get(idx) or memory[idx]
         while cell is not None and cell[0] == "ref":
             idx = cell[1]
-            cell = log.get(idx) or memory[idx]
-        return idx
+            cell = log.get(idx) or inh.get(idx) or memory[idx]
+        return idx, cell
 
     def _reaches(self, stack, target, scope_id=None):
         """Does any cell index, cell value or term on `stack` contain cell
@@ -382,6 +397,7 @@ class Store:
         nid = self.base.next_node
         self.base.next_node += 1
         self.node_log[nid] = ScopeNode(nid, parent, kind, label, symbols)
+        self.view = None
         if nid >= self.n_nodes:
             self.n_nodes = nid + 1
         return nid
@@ -391,10 +407,10 @@ class Store:
         return self._alloc_cell(UNBOUND)
 
     def lookup(self, scope_id, name):
-        log, scopes = self.node_log, self.base.scopes
+        log, inh, scopes = self.node_log, self.node_inherited, self.base.scopes
         nid = scope_id
         while nid is not None:
-            node = log.get(nid) or scopes[nid]
+            node = log.get(nid) or inh.get(nid) or scopes[nid]
             if name in node.symbols:
                 return node.symbols[name]
             if node.kind == PROC_CALL:
@@ -450,8 +466,7 @@ class Store:
                 t, seen = self.lookup(scope_id, t.name), None
             elif isinstance(t, (ast.Atom, ast.Num)):
                 t = const_cell(t.name if isinstance(t, ast.Atom) else t.value)
-            a = self.deref(i)
-            ca = self._cell(a)
+            a, ca = self._deref(i)
             if isinstance(t, ast.Cons):
                 if ca == UNBOUND:
                     if self._reaches([t], a, scope_id):
@@ -468,10 +483,9 @@ class Store:
                 continue
             b = None
             if isinstance(t, int):
-                b = self.deref(t)
+                b, t = self._deref(t)
                 if a == b:
                     continue
-                t = self._cell(b)
             if ca == UNBOUND:
                 if b is not None and t == UNBOUND:
                     self._set(max(a, b), ref_cell(min(a, b)))
@@ -516,8 +530,7 @@ class Store:
                 t = self.lookup(scope_id, t.name)
             elif isinstance(t, (ast.Atom, ast.Num)):
                 t = const_cell(t.name if isinstance(t, ast.Atom) else t.value)
-            a = self.deref(i)
-            ca = self._cell(a)
+            a, ca = self._deref(i)
             if isinstance(t, ast.Cons):
                 if ca[0] != "functor":
                     return False
@@ -525,10 +538,9 @@ class Store:
                 stack.append((ca[1], t.head))
                 continue
             if isinstance(t, int):
-                b = self.deref(t)
+                b, t = self._deref(t)
                 if a == b:
                     continue
-                t = self._cell(b)
             if ca[0] == "functor" and t[0] == "functor":  # t is cell b's value
                 key = (a, b) if a < b else (b, a)
                 if key not in seen:
@@ -549,8 +561,7 @@ class Store:
         coeffs = {}
         const = Fraction(e.const)
         for name, c in e.coeffs:
-            idx = self.deref(self.lookup(scope_id, name))
-            cell = self._cell(idx)
+            idx, cell = self._deref(self.lookup(scope_id, name))
             if cell == UNBOUND:
                 if not allocate:
                     return None
@@ -604,35 +615,51 @@ class Store:
 
     @staticmethod
     def merge(base, locals_):
-        """Commit sibling snapshots of one instant onto a branch of their
-        base, which it returns; base and snapshots stay as they were.
+        """Commit sibling snapshots of one instant, each branched from base,
+        onto a new store that holds base's own writes and theirs; base and
+        snapshots stay as they were. O(the siblings' own writes): the first
+        writer is adopted when replay would not change it, the rest replayed.
 
         Scope-tree growth survives even when a sibling's constraints clash;
         constraint content is the least upper bound, with stream clashes
         latching inconsistency.
         """
-        out = base.branch()
-        base_log, base_len = base.write_log, base.n_cells
-        # each lin grew from base.lin; one that only grew dims still counts
-        lins = [snap.lin for snap in locals_ if snap.lin is not base.lin]
-        if lins:
-            out.lin = ls_meet(base.lin, lins)
-        for snap in locals_:
+        base_len = base.n_cells
+        # a dims-only lin still counts: dims are printed
+        writers = [s for s in locals_ if s.write_log or s.node_log
+                   or s.lin is not base.lin or s.step_false != base.step_false]
+        # replayed onto base, the first writer gives back its own cells,
+        # unless it refs an older register that it also bound: replay binds
+        # older registers in index order and would turn that ref around (a
+        # thread that ran `tell(Y = a) || tell(X = Y)`, X older)
+        first, rest = base, writers
+        log = writers[0].write_log if writers else {}
+        if writers and not any(c[0] == "ref" and c[1] < base_len
+                               and c[1] in log for c in log.values()):
+            first, rest = writers[0], writers[1:]
+        out = Store.__new__(Store)
+        out.inherited, out.node_inherited, out.view = \
+            base.inherited, base.node_inherited, None
+        out.write_log = {**base.write_log, **first.write_log}
+        out.node_log = {**base.node_log, **first.node_log}
+        out.base, out.n_cells, out.n_nodes, out.lin, out.step_false = \
+            base.base, first.n_cells, first.n_nodes, first.lin, first.step_false
+        if rest and any(snap.lin is not base.lin for snap in rest):
+            # each lin grew from base.lin
+            out.lin = ls_meet(base.lin, [snap.lin for snap in writers
+                                         if snap.lin is not base.lin])
+        for snap in rest:
             out.step_false = out.step_false or snap.step_false
-            for nid, node in snap.node_log.items():
-                if nid >= base.n_nodes:  # created by the snapshot
-                    out.node_log[nid] = node
-                    out.n_nodes = max(out.n_nodes, nid + 1)
-            # its own writes (beyond base's delta): new registers, then older
-            # ones; allocation keeps indices disjoint across siblings
-            own = sorted((idx, cell) for idx, cell in snap.write_log.items()
-                         if base_log.get(idx) is not cell)
-            for idx, cell in own:
-                if idx >= base_len:
-                    out._set(idx, cell)
-            for idx, cell in own:
-                if idx < base_len:
-                    out._unify(idx, cell[1] if cell[0] == "ref" else cell)
+            out.node_log.update(snap.node_log)
+            out.n_cells = max(out.n_cells, snap.n_cells)
+            out.n_nodes = max(out.n_nodes, snap.n_nodes)
+            # new registers as they are (allocation keeps indices disjoint
+            # across siblings), then older ones, unified in index order
+            log = snap.write_log
+            out.write_log.update([x for x in log.items() if x[0] >= base_len])
+            for idx in sorted([i for i in log if i < base_len]):
+                cell = log[idx]
+                out._unify(idx, cell[1] if cell[0] == "ref" else cell)
         return out
 
     # --------------------------------------------------------------- dump
@@ -646,8 +673,9 @@ class Store:
         sibling snapshot allocated is rendered as null. Given a `DumpMemo`,
         the same document as compact JSON text, which encodes again only
         the slots that changed since the memo's previous dump."""
-        scopes = _overlaid(self.base.scopes, self.node_log, self.n_nodes)
-        memory = _overlaid(self.base.memory, self.write_log, self.n_cells)
+        cells, nodes = self._view()
+        scopes = _overlaid(self.base.scopes, nodes, self.n_nodes)
+        memory = _overlaid(self.base.memory, cells, self.n_cells)
         if memo is None:
             return {
                 "consistent": self.is_consistent(),

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import tccp
 from tccp import ast
-from tccp.linear import ls_add, ls_entails, ls_grow, ls_new, row
+from tccp.linear import ls_add, ls_entails, ls_grow, ls_meet, ls_new, row
 
 
 # ------------------------------------------------------- FM feasibility
@@ -385,6 +385,38 @@ def check_parameter_law(rng, n_setups):
         for pf, pv in zip(probes_for("F"), probes_for("V")):
             assert st.entails(nid, pf) == st.entails(0, pv), (i, pf, post)
     return n_setups
+
+
+# ------------------------------------------------------ reference merge
+
+def replay_merge(base, locals_):
+    """`Store.merge` by full replay, the reference for its differential
+    tests: every sibling's whole view over the base, less what is the
+    same object in base's view, replayed onto a branch of base, new
+    registers first, then older ones in index order. No sibling is
+    dropped and none is adopted."""
+    out = base.branch()
+    base_cells, base_len = base._view()[0], base.n_cells
+    lins = [snap.lin for snap in locals_ if snap.lin is not base.lin]
+    if lins:
+        out.lin = ls_meet(base.lin, lins)
+    for snap in locals_:
+        out.step_false = out.step_false or snap.step_false
+        cells, nodes = snap._view()
+        for nid, node in nodes.items():
+            if nid >= base.n_nodes:
+                out.node_log[nid] = node
+                out.n_nodes = max(out.n_nodes, nid + 1)
+        own = sorted((idx, cell) for idx, cell in cells.items()
+                     if base_cells.get(idx) is not cell)
+        for idx, cell in own:
+            if idx >= base_len:
+                out._set(idx, cell)
+        for idx, cell in own:
+            if idx < base_len:
+                out._unify(idx, cell[1] if cell[0] == "ref" else cell)
+    out.view = None
+    return out
 
 
 # ---------------------------------------------------- CLI child processes

@@ -371,6 +371,36 @@ class TestByteGate:
         assert out.count("\n") == lines
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize("program, entry, code, lines, digest", [
+        # one instant with 300 writers beside each other
+        ("w :- exists {xs}, {ts} ({tells}).".format(
+            xs=", ".join(f"X{i}" for i in range(300)),
+            ts=", ".join(f"T{i}" for i in range(300)),
+            tells=" || ".join(f"tell(X{i} = [a | T{i}])" for i in range(300))),
+         "w", 0, 3,
+         "a242defed8244b6e92e5cf2a4059ec1c51e60e9c7f8eb3e6e8ec173d0413f29b"),
+        # nested groups whose siblings bind the same stream cells, each
+        # instant, until the shorter stream ends and the two clash
+        ("s(X, K, N) :- exists T, H, M ("
+         " (tell(X = [H | T]) || (tell(X = [K | _]) || tell(H = K)))"
+         " || tell(M = N - 1)"
+         " || now (N > 0) then s(T, K, M) else tell(T = nil)).",
+         "s(X, a, 6) || s(Y, a, 4) || tell(X = Y)", 2, 8,
+         "acf616ab8c0ccb1beed2769195880a62c196a23f6527bdc1beabd678aad79f47"),
+        # one thread binds Y and refs X, the older register, to it
+        ("p(X, Y) :- tell(Y = a) || tell(X = Y).", "p(X, Y)", 0, 3,
+         "1254b2ec8d62c07df0fb3405c32fcda34b7c023568829bb4678ab067e20a1e95"),
+    ], ids=["wide-instant-300", "nested-shared-streams", "ref-to-own-binding"])
+    def test_many_writer_instants_jsonl(self, cli, tmp_path, program, entry,
+                                        code, lines, digest):
+        path = tmp_path / "p.tccp"
+        path.write_text(program + "\n")
+        got, out, err = cli("run", "--program", str(path), "--entry", entry,
+                            "--steps", "20", "--format", "jsonl")
+        assert got == code and err == ""
+        assert out.count("\n") == lines
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_photocopier_text(self, cli):
         code, out, err = cli("run", "--program", PHOTOCOPIER,
                              "--entry", PHOTOCOPIER_ENTRY, "--steps", "200",

@@ -7,12 +7,13 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as strat
 
 from tccp import ast
 from tccp.errors import UnboundActualError, UnknownSymbolError
 from tccp.parser import parse_constraint
 from tccp.store import DumpMemo, EXISTS, PROC_CALL, Store, UNBOUND
-from support import check_parameter_law
+from support import check_parameter_law, replay_merge
 
 
 def C(text):
@@ -428,6 +429,20 @@ class TestCopyOnWrite:
         large_bytes = branch_and_tell_bytes(large, c)
         assert large_bytes < small_bytes + 1024, (small_bytes, large_bytes)
 
+    def test_branches_of_an_unsealed_store_share_one_view(self):
+        # the first branch builds the view of the store's own writes; the
+        # branches after it allocate nothing that grows with those writes
+        c = C("X = a")
+        small, large = (Store.new(["X"] + [f"V{k}" for k in range(n - 1)])
+                        for n in (1000, 50000))
+        assert len(large.write_log) == 50000
+        for st in (small, large):
+            st.branch()
+        branch_and_tell_bytes(small, c)  # warm up caches
+        small_bytes = branch_and_tell_bytes(small, c)
+        large_bytes = branch_and_tell_bytes(large, c)
+        assert large_bytes < small_bytes + 1024, (small_bytes, large_bytes)
+
     def test_siblings_and_merge_leave_every_snapshot_as_it_was(self):
         base = Store.new(["X", "Y", "Z", "N"])
         base_dump = base.dump()
@@ -510,6 +525,152 @@ class TestCopyOnWrite:
         out.add_scope(EXISTS, 0, {})
         assert base.dump() == base_dump
         assert out.entails(0, C("X = a"))
+
+
+# ------------------------------------------------ merge against replay
+
+def both_ways(build):
+    """Run build(merge) -> (base, siblings) on a fresh store once with
+    `Store.merge` and once with the reference `replay_merge`, merge the
+    siblings each way, and assert the two results dump alike; returns the
+    `Store.merge` result, its base and siblings."""
+    runs = []
+    for merge in (Store.merge, replay_merge):
+        base, snaps = build(merge)
+        runs.append((merge(base, snaps), base, snaps))
+    (out, _, _), (ref, _, _) = runs
+    assert out.dump() == ref.dump()
+    assert out.is_consistent() == ref.is_consistent()
+    return runs[0]
+
+
+def a_lone(kind):
+    """build(merge) for one writer of the given kind beside an idle one."""
+    def build(merge):
+        base = Store.new(["X", "Y", "T", "N", "M"])
+        base.add_constraint(0, C("X = [a | T]"))
+        base.add_constraint(0, C("N >= 0"))  # N gets dimension 0
+        idle, snap = base.branch(), base.branch()
+        idle.entails(0, C("X = [a | _]"))
+        if kind == "step_false":
+            snap.add_constraint(0, C("X = b"))
+        elif kind == "empty_scope":  # a call without formals
+            snap.add_scope(PROC_CALL, 0, {}, label="z")
+        elif kind == "dims":
+            base.branch().add_constraint(0, C("M = 1"))  # dimension 1, dropped
+            snap.add_constraint(0, C("N + 1 = N + 1"))  # grows, tells no row
+        elif kind == "ref_to_own_binding":
+            s1, s2 = snap.branch(), snap.branch()
+            s1.add_constraint(0, C("T = a"))
+            s2.add_constraint(0, C("Y = T"))  # Y, older than T, refs T
+            snap = merge(snap, [s1, s2])
+        else:
+            snap.add_constraint(0, C("T = [b | Y]"))
+        return base, [idle, snap]
+    return build
+
+
+class TestMergeWriters:
+    """Merging reads only own writes, drops idle siblings and adopts the
+    first writer; each result dumps as the full replay of every sibling
+    (`replay_merge`) would."""
+
+    @pytest.mark.parametrize("kind", ["step_false", "empty_scope", "dims",
+                                      "ref_to_own_binding", "stream"])
+    def test_a_lone_writer_beside_an_idle_sibling(self, kind):
+        out, base, (idle, snap) = both_ways(a_lone(kind))
+        assert (snap.write_log or snap.node_log or snap.lin is not base.lin
+                or not snap.is_consistent())
+        if kind == "ref_to_own_binding":
+            # replay turns the ref around, so adopting would print another
+            # store: the writer's own cells are not the merged ones
+            assert snap.dump()["memory"] != out.dump()["memory"]
+        else:
+            assert snap.dump() == out.dump()
+
+    def test_writes_to_an_adopted_result_stay_off_the_snapshot(self):
+        out, base, (idle, snap) = both_ways(a_lone("stream"))
+        dumps = [st.dump() for st in (base, idle, snap)]
+        assert out.dump() == snap.dump()
+        nid = out.add_scope(EXISTS, 0, {"L": out.new_cell()})
+        out.add_constraint(nid, C("Y = [L | _]"))
+        out.add_constraint(0, C("M = 2"))
+        assert [st.dump() for st in (base, idle, snap)] == dumps
+        assert out.entails(0, C("Y = [_ | _]"))
+
+    def test_an_idle_merge_keeps_the_base_writes(self):
+        base = Store.new(["X"]).seal()
+        mid = base.branch()
+        nid = mid.add_scope(EXISTS, 0, {"L": mid.new_cell()})
+        inner = Store.merge(mid, [mid.branch(), mid.branch()])
+        out = Store.merge(base, [inner])
+        assert out.dump() == mid.dump()
+        assert out.lookup(nid, "L") == 1
+
+    @settings(max_examples=400, deadline=None)
+    @given(strat.data())
+    def test_random_sibling_sets(self, data):
+        prep = data.draw(strat.lists(strat.sampled_from(TELLS), max_size=1))
+        sealed = data.draw(strat.booleans())
+        scripts = data.draw(strat.lists(
+            data.draw(strat.sampled_from(SCRIPTS)), max_size=3))
+
+        def build(merge):
+            base = Store.new(["X", "Y", "T", "U", "N", "M"])
+            for text in prep:
+                base.add_constraint(0, C(text))
+            if sealed:
+                base.seal()
+            return base, [run_script(base.branch(), ops, merge)
+                          for ops in scripts]
+
+        out, base, snaps = both_ways(build)
+        dumps = [st.dump() for st in [base] + snaps]
+        out.add_constraint(0, C("U = [z | _]"))
+        assert [st.dump() for st in [base] + snaps] == dumps
+
+
+TELLS = ["X = Y", "Y = T", "T = U", "X = U", "Y = a", "T = a", "U = b",
+         "X = [a | T]", "T = [b | U]", "X = [Y | U]", "U = [Y | X]", "X = a",
+         "N = 3", "N + M = 2", "N > 1", "M = N + 1", "N + 1 = N + 1", "Y = N"]
+# bindings and aliases alone: a thread that binds a register and refs an
+# older one to it shows whether the merge replays it
+BINDINGS = TELLS[:7]
+SCOPED = ["L = X", "L = [a | Y]", "X = [L | _]", "L = N + 1", "T = [L | L]",
+          "L = U"]
+
+
+def scripts_of(tells):
+    """Scripts for `run_script` whose tells come from `tells`."""
+    op = strat.one_of(
+        strat.tuples(strat.just("tell"), strat.sampled_from(tells)),
+        strat.tuples(strat.just("exists"), strat.sampled_from(SCOPED)),
+        strat.just(("call",)))
+    return strat.recursive(
+        strat.lists(op, max_size=2),
+        lambda scripts: strat.lists(strat.one_of(strat.tuples(
+            strat.just("par"), strat.lists(scripts, min_size=1, max_size=3)),
+            op), max_size=3),
+        max_leaves=10)
+
+
+SCRIPTS = [scripts_of(TELLS), scripts_of(BINDINGS)]
+
+
+def run_script(st, ops, merge):
+    """Run ops on store st as one thread of an instant; ("par", scripts)
+    runs each script on its own branch and merges them with `merge`."""
+    for op in ops:
+        if op[0] == "tell":
+            st.add_constraint(0, C(op[1]))
+        elif op[0] == "exists":
+            nid = st.add_scope(EXISTS, 0, {"L": st.new_cell()})
+            st.add_constraint(nid, C(op[1]))
+        elif op[0] == "call":
+            st.add_scope(PROC_CALL, 0, {}, label="z")
+        else:
+            st = merge(st, [run_script(st.branch(), s, merge) for s in op[1]])
+    return st
 
 
 def compact(st):
