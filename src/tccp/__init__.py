@@ -18,13 +18,5 @@ from .parser import parse_agent, parse_constraint, parse_program
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ChoicePolicy",
-    "TccpError",
-    "TccpSyntaxError",
-    "parse_agent",
-    "parse_constraint",
-    "parse_program",
-    "run",
-    "__version__",
-]
+__all__ = ["ChoicePolicy", "TccpError", "TccpSyntaxError", "parse_agent",
+           "parse_constraint", "parse_program", "run", "__version__"]

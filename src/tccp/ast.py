@@ -9,14 +9,10 @@ Linear expressions are kept in normalized affine form (sorted coefficient
 table plus a constant) so structural equality is semantic equality and the
 pretty-printer round-trips through the parser.
 
-Nodes are hand-slotted classes over one small base, `_Node`, because
-every `tccp` process builds them before it reads any program text. As
-frozen dataclasses they cost about 25 ms of the 41 ms that
-`import tccp.cli` took (CPython 3.11.7, bytecode present): the
-decorators, and `dataclasses` itself with `inspect`, `dis` and
-`tokenize`. Slotted, the import takes 14 ms. A tuple base would make
-`Var("X") == Atom("X")`. `tests/test_cli.py::TestStartup` fails if
-importing the package loads `dataclasses`, `inspect` or `typing` again.
+Nodes are hand-slotted classes over one small base, `_Node`: as frozen
+dataclasses they took most of the time of `import tccp.cli`, which every
+`tccp` process pays, and a tuple base would make `Var("X") == Atom("X")`.
+`tests/test_cli.py::TestStartup` keeps `dataclasses` out of the import.
 """
 
 from fractions import Fraction
@@ -127,9 +123,6 @@ class LinExpr(_Node):
         if k == 0:
             return LinExpr((), Fraction(0))
         return LinExpr(tuple((n, c * k) for n, c in self.coeffs), self.const * k)
-
-    def variables(self):
-        return [n for n, _ in self.coeffs]
 
 
 # ------------------------------------------------------------ constraints
@@ -374,7 +367,7 @@ def free_vars(x):
         if isinstance(node, Var):
             names = (node.name,)
         elif isinstance(node, LinExpr):
-            names = node.variables()
+            names = [name for name, _ in node.coeffs]
         else:
             continue
         out.update((n, None) for n in names if n not in bound)

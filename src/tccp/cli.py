@@ -73,10 +73,8 @@ def _text_block(el):
              f" nodes={counts['nodes']} registers={counts['registers']}"
              f" dims={counts['dims']}"
              f" consistent={str(store.is_consistent()).lower()}"]
-    for r in dump_lin(store.lin):
-        lines.append(f"   lin: {r}")
-    for a in el.agents:
-        lines.append(f"   agent: {a}")
+    lines += [f"   lin: {r}" for r in dump_lin(store.lin)]
+    lines += [f"   agent: {a}" for a in el.agents]
     return "\n".join(lines)
 
 
@@ -157,10 +155,7 @@ def main(argv=None):
         if args.command == "check":
             return cmd_check(args)
         return cmd_stats(args)
-    except TccpError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except OSError as e:
+    except (TccpError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

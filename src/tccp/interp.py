@@ -5,36 +5,40 @@ snapshot; the snapshots merge into the next store. Guards (ask and now
 conditions) therefore read the store as it was when the instant began:
 what a thread tells becomes visible to the others at the next instant.
 
-Per agent form, within one instant:
-  - tell adds its constraint and finishes;
-  - a choice fires one enabled branch (its body starts next instant) or
-    suspends unchanged when no guard is entailed;
-  - now picks its branch by entailment and executes it in the same
-    instant;
-  - parallel runs all components in the same instant;
-  - exists allocates a scope and executes its body in the same instant;
-  - a call links formals to actuals and schedules the body for the next
-    instant.
-
-A thread "moves" when any rule applies to it: tells, nows and calls
-always move, a choice moves only when some guard fires, skip never
-moves, parallel moves when any component does, exists moves when its
-body does. An instant in which no thread moves is never committed: the
-run ends quiescent and the store stays as it was.
+Agents are compiled once per run into abstract instructions, lists
+[opcode, agent, operands...] that keep their agent for the trace. A
+thread is an instruction, its scope node and its environment, the
+registers of the names it sees (`tccp.store` compiles constraints and
+actuals over it). Within one instant:
+  - [SKIP, a] does nothing and does not move;
+  - [TELL, a, c] tells constraint c;
+  - [CHOOSE, a, guards, guard of each branch, bodies] asks each distinct
+    guard once and fires one enabled branch, whose body starts next
+    instant, or, when none is enabled, suspends unchanged and unmoved;
+  - [NOW, a, c, [then, else]] runs the branch that entailment of c picks;
+  - [PAR, a, components] runs each on a branch of the snapshot, and a
+    JOIN merges their snapshots; it moves when any component does;
+  - [HIDE, a, names, [body]], exists, makes a scope of new registers and
+    runs the body; it moves when the body does;
+  - [CALL, a, name, actuals, formals, body] makes the call's scope and
+    schedules the declaration's compiled body for the next instant.
+Tells, nows and calls always move. An instant in which no thread moves
+is never committed: the run ends quiescent and the store stays as it was.
 """
 
 import random
 from collections import namedtuple
-from itertools import repeat
 
 from . import ast
 from .ast import pretty_agent
-from .store import EXISTS, PROC_CALL, Store
+from .store import EXISTS, PROC_CALL, Store, compile_actual, compile_constraint
 
 RUNNING, QUIESCENT, FAILED = "running", "quiescent", "failed"
 
+SKIP, TELL, CHOOSE, NOW, PAR, HIDE, CALL, JOIN = range(8)
+_JOIN = (JOIN,)
 
-Thread = namedtuple("Thread", "agent scope")
+Thread = namedtuple("Thread", "code scope env")
 
 
 class ChoicePolicy:
@@ -47,9 +51,7 @@ class ChoicePolicy:
         self.seed = seed
 
     def make_rng(self):
-        if self.kind == "random":
-            return random.Random(self.seed)
-        return None
+        return random.Random(self.seed) if self.kind == "random" else None
 
     def choose(self, enabled, rng):
         if self.kind == "first":
@@ -64,106 +66,132 @@ Config = namedtuple("Config", "program store active clock status")
 TraceStep = namedtuple("TraceStep", "clock status store agents")
 
 
+def _compile(agent, names, calls):
+    """The instruction for `agent`, run over an environment laid out as
+    `names`. Instructions are made parent first, from an explicit stack,
+    and each goes into the list of its parent's children; every CALL also
+    goes into `calls`."""
+    root = []
+    todo = [(agent, names, root)]
+    while todo:
+        a, names, out = todo.pop()
+        kids, inner = (), names
+        if isinstance(a, ast.Tell):
+            ins = [TELL, a, compile_constraint(a.constraint, names)]
+        elif isinstance(a, ast.Choice):
+            # equal guards print alike; flat text compares without recursing
+            keys = [(type(g), ast.pretty_constraint(g)) for g, _ in a.branches]
+            distinct = {k: compile_constraint(g, names)
+                        for k, (g, _) in zip(keys, a.branches)}
+            ins = [CHOOSE, a, list(distinct.values()),
+                   [list(distinct).index(k) for k in keys]]
+            kids = [body for _, body in a.branches]
+        elif isinstance(a, ast.Now):
+            ins = [NOW, a, compile_constraint(a.cond, names)]
+            kids = (a.then_agent, a.else_agent)
+        elif isinstance(a, ast.Parallel):
+            ins, kids = [PAR, a], a.agents
+        elif isinstance(a, ast.Exists):
+            ins, kids = [HIDE, a, a.vars], (a.body,)
+            inner = names + tuple(a.vars)
+        elif isinstance(a, ast.Call):
+            ins = [CALL, a, a.name,
+                   [compile_actual(x, names) for x in a.actuals]]
+            calls.append(ins)
+        elif isinstance(a, ast.Skip):
+            ins = [SKIP, a]
+        else:
+            raise TypeError(f"bad agent: {a!r}")
+        out.append(ins)
+        if kids:
+            ins.append([])
+            todo += [(kid, inner, ins[-1]) for kid in reversed(kids)]
+    return root[0]
+
+
+def compile_program(program):
+    """The entry's instruction, with each declaration body compiled once
+    and linked into every call of it."""
+    calls = []
+    decls = {d.name: [d.formals, _compile(d.body, tuple(d.formals), calls)]
+             for d in program.decls}
+    entry = _compile(program.entry, tuple(program.entry_vars), calls)
+    for ins in calls:
+        ins += decls[ins[2]]
+    return entry
+
+
 def initial_config(program):
     if program.entry is None:
         raise ValueError("program has no entry agent")
     store = Store.new(program.entry_vars).seal()
-    return Config(program, store, [Thread(program.entry, 0)], 0, RUNNING)
-
-
-def execute(program, agent, scope, snap, policy, rng):
-    """Run one agent for one instant on its snapshot.
-
-    Returns (snapshot, continuation threads, moved).
-    """
-    if isinstance(agent, ast.Skip):
-        return snap, [], False
-
-    if isinstance(agent, ast.Tell):
-        snap.add_constraint(scope, agent.constraint)
-        return snap, [], True
-
-    if isinstance(agent, ast.Choice):
-        enabled = [i for i, (g, _) in enumerate(agent.branches)
-                   if snap.entails(scope, g)]
-        if not enabled:
-            return snap, [Thread(agent, scope)], False
-        k = policy.choose(enabled, rng)
-        return snap, [Thread(agent.branches[k][1], scope)], True
-
-    if isinstance(agent, ast.Now):
-        branch = agent.then_agent if snap.entails(scope, agent.cond) \
-            else agent.else_agent
-        # now always moves: a branch that cannot move is unwrapped from
-        # the now and left to wait as its own residual.
-        snap, threads, _ = execute(program, branch, scope, snap, policy, rng)
-        return snap, threads, True
-
-    if isinstance(agent, ast.Parallel):
-        snaps, threads, moved = _run_threads(
-            program, zip(agent.agents, repeat(scope)), snap, policy, rng)
-        return Store.merge(snap, snaps), threads, moved
-
-    if isinstance(agent, ast.Exists):
-        nid = snap.add_scope(EXISTS, scope,
-                             {name: snap.new_cell() for name in agent.vars})
-        return execute(program, agent.body, nid, snap, policy, rng)
-
-    if isinstance(agent, ast.Call):
-        decl = program.decl(agent.name)
-        formals = {formal: snap.actual_cell(actual, scope)
-                   for formal, actual in zip(decl.formals, agent.actuals)}
-        nid = snap.add_scope(PROC_CALL, scope, formals, label=agent.name)
-        return snap, [Thread(decl.body, nid)], True
-
-    raise TypeError(f"bad agent: {agent!r}")
-
-
-def _run_threads(program, pairs, store, policy, rng):
-    """Execute each (agent, scope) pair on its own branch of store.
-
-    Returns (snapshots, continuation threads, moved). The snapshots are
-    the ones execute() returns, not the branches handed out: a nested
-    parallel hands back a fresh merged store.
-    """
-    snaps = []
-    continued = []
-    moved = False
-    for agent, scope in pairs:
-        snap, th, mv = execute(program, agent, scope, store.branch(),
-                               policy, rng)
-        snaps.append(snap)
-        continued.extend(th)
-        moved = moved or mv
-    return snaps, continued, moved
+    env = tuple([store.lookup(0, name) for name in program.entry_vars])
+    return Config(program, store, [Thread(compile_program(program), 0, env)],
+                  0, RUNNING)
 
 
 def step(config, policy, rng):
     """Advance one instant. Returns (moved, new config).
 
-    A committed instant seals its store into the base that it shares with
+    Threads run from one explicit stack of work items (instruction,
+    scope, env, snapshot, the list its final snapshot goes to). A
+    committed instant seals its store into the base that it shares with
     config.store, which is then no longer valid (see `tccp.store`)."""
     if config.status != RUNNING:
         return False, config
     base = config.store
-    snaps, threads, moved = _run_threads(config.program, config.active,
-                                         base, policy, rng)
+    snaps, threads, moved = [], [], False
+    work = [(code, scope, env, base.branch(), snaps)
+            for code, scope, env in reversed(config.active)]
+    while work:
+        code, scope, env, snap, out = work.pop()
+        while code[0] == NOW or code[0] == HIDE:  # go on in the same instant
+            if code[0] == NOW:
+                moved = True  # even when the branch it runs cannot move
+                code = code[3][0 if snap.entails(scope, code[2], env) else 1]
+            else:
+                regs = tuple([snap.new_cell() for _ in code[2]])
+                scope = snap.add_scope(EXISTS, scope, dict(zip(code[2], regs)))
+                env += regs
+                code = code[3][0]
+        op = code[0]
+        if op == TELL:
+            snap.add_constraint(scope, code[2], env)
+            moved = True
+        elif op == CHOOSE:
+            asked = [snap.entails(scope, g, env) for g in code[2]]
+            enabled = [k for k, g in enumerate(code[3]) if asked[g]]
+            if enabled:
+                code = code[4][policy.choose(enabled, rng)]
+                moved = True
+            threads.append(Thread(code, scope, env))
+        elif op == PAR:  # components run in order, then the JOIN below
+            frame = []
+            work.append((_JOIN, frame, None, snap, out))
+            work += [(kid, scope, env, snap.branch(), frame)
+                     for kid in reversed(code[2])]
+            continue
+        elif op == CALL:
+            regs = tuple([snap.actual_cell(a, scope, env) for a in code[3]])
+            scope = snap.add_scope(PROC_CALL, scope, dict(zip(code[4], regs)),
+                                   code[2])
+            threads.append(Thread(code[5], scope, regs))
+            moved = True
+        elif op == JOIN:
+            snap = Store.merge(snap, scope)
+        out.append(snap)
     if not moved:
         return False, config._replace(status=QUIESCENT)
     store = Store.merge(base, snaps).seal()
-    if not store.is_consistent():
-        status = FAILED
-    elif not threads:
-        status = QUIESCENT
-    else:
-        status = RUNNING
+    status = (FAILED if not store.is_consistent()
+              else RUNNING if threads else QUIESCENT)
     return True, Config(config.program, store, threads,
                         config.clock + 1, status)
 
 
 def _trace_step(config):
     # the store is copied: the next instant's seal() changes its base
-    agents = tuple(pretty_agent(t.agent) for t in config.active)
+    agents = tuple(pretty_agent(t.code[1]) for t in config.active)
     return TraceStep(config.clock, RUNNING, config.store.frozen(), agents)
 
 

@@ -427,8 +427,9 @@ def o_step(config, policy, rng):
                               config.clock + 1, status)
 
 
-def o_run(program, steps, policy=None, seed=None):
-    """Mirror of the machine's run(), over the solved-form store."""
+def o_run(program, steps, policy=None, seed=None, every=1):
+    """Mirror of the machine's run(), over the solved-form store; `every`
+    keeps the same steps as there."""
     from .interp import ChoicePolicy
     if policy is None:
         policy = ChoicePolicy("first")
@@ -436,18 +437,14 @@ def o_run(program, steps, policy=None, seed=None):
         policy = ChoicePolicy(policy.kind, seed)
     rng = policy.make_rng()
     config = o_initial(program)
-    trace = [OracleStep(0, RUNNING, config.state)]
-    final = RUNNING
+    trace = [OracleStep(0, RUNNING, config.state)] if every else []
     for _ in range(steps):
         moved, config = o_step(config, policy, rng)
-        if not moved:
-            final = QUIESCENT
-            break
-        trace.append(OracleStep(config.clock, RUNNING, config.state))
+        if moved and every and config.clock % every == 0:
+            trace.append(OracleStep(config.clock, RUNNING, config.state))
         if config.status != RUNNING:
-            final = config.status
-            break
-    else:
-        final = config.status
-    trace[-1] = OracleStep(trace[-1].clock, final, trace[-1].state)
+            break  # o_step returns a quiescent config when nothing moved
+    if not trace or trace[-1].clock != config.clock:
+        trace.append(OracleStep(config.clock, RUNNING, config.state))
+    trace[-1] = trace[-1]._replace(status=config.status)
     return trace

@@ -5,7 +5,9 @@ then check scope (declaration bodies may only use formals and exists-bound
 variables) and call sites (known procedure, matching arity).
 """
 
+import re
 import sys
+from collections import namedtuple
 from fractions import Fraction
 
 from .ast import (
@@ -19,90 +21,48 @@ from .errors import (
 
 KEYWORDS = {"skip", "tell", "ask", "now", "then", "else", "exists", "true"}
 
-_PUNCT = ["||", ":-", "->", "<=", ">=", "(", ")", "[", "]", "|", ",", ".",
-          "+", "-", "*", "=", "<", ">", "_"]
+# one match per token, or per run of blanks, a comment or a newline
+_TOKEN = re.compile(r"(?P<nl>\n)|(?P<blank>[ \t\r]+)|(?P<comment>%[^\n]*)|"
+                    r"(?P<bad>_\w)|(?P<punct>\|\||:-|->|<=|>=|[-()\[\]|,.+*=<>_])|"
+                    r"(?P<num>\d+)|(?P<word>[^\W\d_]\w*'*)")
 
-
-class Token:
-    __slots__ = ("kind", "value", "line", "col")
-
-    def __init__(self, kind, value, line, col):
-        self.kind = kind
-        self.value = value
-        self.line = line
-        self.col = col
-
-    def __repr__(self):
-        return f"Token({self.kind!r}, {self.value!r})"
+Token = namedtuple("Token", "kind value line col")
 
 
 def tokenize(text):
-    toks = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
+    toks, i, line, col = [], 0, 1, 1
+    while i < len(text):
+        m = _TOKEN.match(text, i)
+        kind = m.lastgroup if m else None
+        if kind is None or kind == "word" and not text[i].isalpha():
+            raise TccpSyntaxError(line, col, "a token", text[i])
+        word, i = m.group(), m.end()
+        if kind == "nl":
+            line, col = line + 1, 1
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "%":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        matched = None
-        for p in _PUNCT:
-            if text.startswith(p, i):
-                # `_` only stands alone; `_x` is not an identifier form we accept
-                if p == "_" and i + 1 < n and (text[i + 1].isalnum() or text[i + 1] == "_"):
-                    raise TccpSyntaxError(line, col, "a bare `_`", text[i:i + 2])
-                matched = p
-                break
-        if matched:
-            toks.append(Token(matched, matched, line, col))
-            i += len(matched)
-            col += len(matched)
-            continue
-        if ch.isdecimal():  # isdigit() takes `²`, which int() refuses
-            j = i
-            while j < n and text[j].isdecimal():
-                j += 1
+        if kind == "bad":  # `_x` is not an identifier form we accept
+            raise TccpSyntaxError(line, col, "a bare `_`", word)
+        if kind == "num":
             try:
-                value = int(text[i:j])
+                value = int(word)
             except ValueError:  # longer than sys.get_int_max_str_digits()
                 raise TccpSyntaxError(line, col, "a number of at most "
                                       f"{sys.get_int_max_str_digits()} digits"
                                       ) from None
             toks.append(Token("NUM", Fraction(value), line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha():
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            while j < n and text[j] == "'":
-                j += 1
-            word = text[i:j]
-            if ch.isupper():
-                toks.append(Token("VAR", word, line, col))
-            elif word in KEYWORDS:
-                if "'" in word:
-                    raise TccpSyntaxError(line, col, "identifier", word)
-                toks.append(Token(word, word, line, col))
+        elif kind == "word":
+            if word[0].isupper():
+                kind = "VAR"
+            elif "'" in word:
+                raise TccpSyntaxError(line, col, "primes only on variables",
+                                      word)
             else:
-                if "'" in word:
-                    raise TccpSyntaxError(line, col, "primes only on variables", word)
-                toks.append(Token("ATOM", word, line, col))
-            col += j - i
-            i = j
-            continue
-        raise TccpSyntaxError(line, col, "a token", ch)
+                kind = word if word in KEYWORDS else "ATOM"
+            toks.append(Token(kind, word, line, col))
+        elif kind == "punct":
+            toks.append(Token(word, word, line, col))
+        if kind != "comment":  # a comment runs to the newline
+            col += len(word)
     toks.append(Token("EOF", None, line, col))
     return toks
 
@@ -122,14 +82,23 @@ class _Parser:
         return t
 
     def expect(self, kind):
-        t = self.peek()
-        if t.kind != kind:
-            raise TccpSyntaxError(t.line, t.col, kind, t.value)
+        if self.peek().kind != kind:
+            self.error(kind)
         return self.next()
 
     def error(self, expected):
         t = self.peek()
         raise TccpSyntaxError(t.line, t.col, expected, t.value)
+
+    def enclosed(self, rule):
+        """`( rule )`, where rule() parses what the parentheses hold."""
+        self.expect("(")
+        out = rule()
+        self.expect(")")
+        return out
+
+    def names(self):
+        return self.comma_list(lambda: self.expect("VAR").value)
 
     def comma_list(self, item):
         """`item { "," item }`, where item() parses one element."""
@@ -149,11 +118,7 @@ class _Parser:
 
     def declaration(self):
         name = self.expect("ATOM").value
-        formals = []
-        if self.peek().kind == "(":
-            self.next()
-            formals = self.comma_list(lambda: self.expect("VAR").value)
-            self.expect(")")
+        formals = self.enclosed(self.names) if self.peek().kind == "(" else []
         if len(set(formals)) != len(formals):
             raise TccpSyntaxError(self.peek().line, self.peek().col,
                                   "distinct formal parameters", name)
@@ -183,18 +148,14 @@ class _Parser:
             return Choice(tuple(branches))
         a = self.prefix()
         if self.peek().kind == "+":
-            t = self.peek()
-            raise TccpSyntaxError(t.line, t.col, "every choice branch to be ask-guarded", "+")
+            self.error("every choice branch to be ask-guarded")
         return a
 
     def branch(self):
         self.expect("ask")
-        self.expect("(")
-        guard = self.constraint()
-        self.expect(")")
+        guard = self.enclosed(self.constraint)
         self.expect("->")
-        body = self.prefix()
-        return (guard, body)
+        return (guard, self.prefix())
 
     def prefix(self):
         t = self.peek()
@@ -203,10 +164,7 @@ class _Parser:
             return Skip()
         if t.kind == "tell":
             self.next()
-            self.expect("(")
-            c = self.constraint()
-            self.expect(")")
-            return Tell(c)
+            return Tell(self.enclosed(self.constraint))
         if t.kind == "now":
             return self.now_agent()
         if t.kind == "exists":
@@ -222,12 +180,8 @@ class _Parser:
 
     def now_agent(self):
         self.expect("now")
-        if self.peek().kind == "(":
-            self.next()
-            cond = self.constraint()
-            self.expect(")")
-        else:
-            cond = self.constraint()
+        cond = (self.enclosed(self.constraint) if self.peek().kind == "("
+                else self.constraint())
         self.expect("then")
         then_agent = self.prefix()
         else_agent = Skip()
@@ -238,7 +192,7 @@ class _Parser:
 
     def exists_agent(self):
         self.expect("exists")
-        names = self.comma_list(lambda: self.expect("VAR").value)
+        names = self.names()
         if len(set(names)) != len(names):
             t = self.peek()
             raise TccpSyntaxError(t.line, t.col, "distinct local variables", names)
@@ -249,11 +203,8 @@ class _Parser:
 
     def call_agent(self):
         name = self.expect("ATOM").value
-        actuals = []
-        if self.peek().kind == "(":
-            self.next()
-            actuals = self.comma_list(self.actual)
-            self.expect(")")
+        actuals = (self.enclosed(lambda: self.comma_list(self.actual))
+                   if self.peek().kind == "(" else [])
         return Call(name, tuple(actuals))
 
     def actual(self):

@@ -2,13 +2,21 @@
 linear store.
 
 Scope nodes are created by `exists` agents and procedure calls and form a
-tree; symbol lookup walks from a node toward the root but stops at the
-first procedure-call node after checking it, so a called body sees its
-formals and locals only. Registers hold stream structure: an unbound cell
-is rewritten in place to a functor when first told a cons cell, with its
+tree; `lookup` walks from a node toward the root but stops at the first
+procedure-call node after checking it, so a called body sees its formals
+and locals only. Registers hold stream structure: an unbound cell is
+rewritten in place to a functor when first told a cons cell, with its
 head and tail freshly allocated at adjacent positions. Numeric variables
 become DiscreteVar cells pointing at linear-store dimensions; dimensions
 are allocated lazily, on first use in a linear constraint.
+
+Tells and asks take constraints compiled over an environment, the
+registers of the names in scope, one per slot, laid out as a tuple
+`names` whose last equal name is the innermost. A term compiles to None
+for `_`, a variable's slot, a constant's cell, or ("cons", head, tail,
+the slots of the variables under it); a constraint to (STREAM, slot,
+term), (LIN, op, ((slot, coef), ...), const) for `sum coef * var + const
+op 0`, or (TRUE,); an actual parameter to a slot, a cell or a LIN code.
 
 Stores are stepped through snapshots: each thread of one time instant
 executes on its own branch. Every store of one run shares one `Base`:
@@ -33,6 +41,7 @@ included. A store that must outlive the next seal is copied first with
 `frozen()`, which costs O(store).
 """
 
+from collections import namedtuple
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_str
 
@@ -79,6 +88,61 @@ def _leaf_rule(ca, cb):
     return False
 
 
+TRUE, STREAM, LIN = "true", "stream", "lin"
+
+
+def _slot(names, name):
+    return len(names) - 1 - names[::-1].index(name)
+
+
+def _term(t, names):
+    done, todo = [], [t]
+    while todo:  # children first, from an explicit stack
+        t = todo.pop()
+        if t is None:  # the head and tail of a cons are done
+            tail, head = done.pop(), done.pop()
+            slots = frozenset().union(*[
+                (p,) if isinstance(p, int) else p[3] if p and p[0] == "cons"
+                else () for p in (head, tail)])
+            done.append(("cons", head, tail, slots))
+        elif isinstance(t, ast.Cons):
+            todo += (None, t.tail, t.head)
+        elif isinstance(t, ast.Var):
+            done.append(_slot(names, t.name))
+        elif isinstance(t, ast.Anon):
+            done.append(None)
+        else:
+            done.append(const_cell(
+                t.name if isinstance(t, ast.Atom) else t.value))
+    return done[0]
+
+
+def _linear(op, e, names):
+    return (LIN, op, tuple((_slot(names, n), c) for n, c in e.coeffs), e.const)
+
+
+def compile_constraint(c, names):
+    """The code of a syntax-tree constraint over `names`."""
+    if isinstance(c, ast.StreamEq):
+        return (STREAM, _slot(names, c.var), _term(c.rhs, names))
+    if isinstance(c, ast.Linear):
+        return _linear(c.op, c.lhs - c.rhs, names)
+    if isinstance(c, ast.CTrue):
+        return (TRUE,)
+    raise TypeError(f"bad constraint: {c!r}")
+
+
+def compile_actual(a, names):
+    """The code of a call's actual parameter over `names`."""
+    if isinstance(a, ast.LinExpr):
+        return _linear("=", a, names)
+    return _term(a, names)
+
+
+# id of a syntax-tree constraint or actual -> (it, its code, its names)
+_COMPILED = {}
+
+
 class Base:
     """What every store of one run shares: the counters that keep register,
     node and dimension indices disjoint, and the register and scope-node
@@ -94,17 +158,8 @@ class Base:
         self.next_dim = 0
 
 
-class ScopeNode:
-    """One scope: built whole by `Store.add_scope` and never changed."""
-
-    __slots__ = ("id", "parent", "kind", "label", "symbols")
-
-    def __init__(self, id, parent, kind, label, symbols):
-        self.id = id
-        self.parent = parent
-        self.kind = kind
-        self.label = label
-        self.symbols = symbols
+# one scope: built whole by `Store.add_scope` and never changed
+ScopeNode = namedtuple("ScopeNode", "id parent kind label symbols")
 
 
 def _overlaid(base, delta, size):
@@ -128,11 +183,9 @@ def _fold(base, size, *deltas):
 
 
 class Layer:
-    """Read-only view of one array of a store (`memory` or `scopes`), as
-    far as the store's view over the base shows it; a slot that a sibling
-    allocated is None. Not a list: the benchmark's tracer takes `len` of
-    both on every `branch()`, and lists tripled its step time (until
-    ROADMAP item 4)."""
+    """Read-only view of `memory` or `scopes` as a store sees them; a slot
+    that a sibling allocated is None. Not a list: the benchmark's tracer
+    takes `len` of both on every `branch()` (until ROADMAP item 4)."""
 
     __slots__ = ("base", "delta", "size")
 
@@ -324,10 +377,6 @@ class Store:
 
     # ----------------------------------------------------------- low level
 
-    def _cell(self, idx):
-        return (self.write_log.get(idx) or self.inherited.get(idx)
-                or self.base.memory[idx])
-
     def _set(self, idx, cell):
         self.write_log[idx] = cell
         self.view = None
@@ -361,32 +410,22 @@ class Store:
             cell = log.get(idx) or inh.get(idx) or memory[idx]
         return idx, cell
 
-    def _reaches(self, stack, target, scope_id=None):
-        """Does any cell index, cell value or term on `stack` contain cell
-        `target`? Variables in terms are looked up in scope_id."""
+    def _reaches(self, stack, target):
+        """Does any register index or cell value on `stack` reach register
+        `target`, the unbound end of a ref chain?"""
         seen = set()
         while stack:
             x = stack.pop()
-            if isinstance(x, ast.Var):
-                x = self.lookup(scope_id, x.name)
-            elif isinstance(x, ast.Cons):
-                stack.append(x.tail)
-                stack.append(x.head)
-                continue
             if isinstance(x, int):
+                x, cell = self._deref(x)  # a chain through target ends there
                 if x == target:
                     return True
                 if x in seen:
                     continue
                 seen.add(x)
-                x = self._cell(x)
-            if not isinstance(x, tuple):
-                continue  # an atom, a number, `_` or a hole in memory
-            if x[0] == "ref":
-                stack.append(x[1])
-            elif x[0] == "functor":
-                stack.append(x[1])
-                stack.append(x[1] + 1)
+                x = cell
+            if x is not None and x[0] == "functor":
+                stack += (x[1], x[1] + 1)
         return False
 
     # ------------------------------------------------------------- scopes
@@ -418,31 +457,33 @@ class Store:
             nid = node.parent
         raise UnknownSymbolError(name)
 
-    def actual_cell(self, actual, caller_scope):
-        """The register of a formal whose actual is `actual`, resolved in
-        caller_scope: the caller's own register for a variable, else a
-        new one."""
-        if isinstance(actual, ast.Var):
+    def actual_cell(self, actual, caller_scope, env=None):
+        """The register of a formal whose actual is `actual`, a code from
+        `compile_actual` over env: the caller's own register for a
+        variable, else a new one. With no env, `actual` is a syntax-tree
+        actual, resolved in caller_scope."""
+        if env is None:
             try:
-                return self.lookup(caller_scope, actual.name)
+                actual, env = self._compiled(caller_scope, actual,
+                                             compile_actual)
             except UnknownSymbolError:
-                raise UnboundActualError(actual.name)
-        if isinstance(actual, ast.Atom):
-            return self._alloc_cell(const_cell(actual.name))
-        if isinstance(actual, ast.Num):
-            return self._alloc_cell(const_cell(actual.value))
-        if isinstance(actual, ast.LinExpr):
-            resolved = self._resolve_linexpr(actual, caller_scope, allocate=True)
-            d = self._alloc_dim()
-            idx = self._alloc_cell(dvar_cell(d))
-            if resolved is None:
-                self.step_false = True
-            else:
-                coeffs, const = resolved
-                coeffs[d] = coeffs.get(d, Fraction(0)) - 1
-                self._add_row(row("=", coeffs, const))
-            return idx
-        raise TypeError(f"bad actual: {actual!r}")
+                if not isinstance(actual, ast.Var):
+                    raise
+                raise UnboundActualError(actual.name) from None
+        if isinstance(actual, int):
+            return env[actual]
+        if actual[0] == "const":
+            return self._alloc_cell(actual)
+        resolved = self._resolve(actual, env, allocate=True)
+        d = self._alloc_dim()
+        idx = self._alloc_cell(dvar_cell(d))
+        if resolved is None:
+            self.step_false = True
+        else:
+            coeffs, const = resolved
+            coeffs[d] = coeffs.get(d, 0) - 1
+            self._add_row(row("=", coeffs, const))
+        return idx
 
     # -------------------------------------------------------- consistency
 
@@ -451,45 +492,43 @@ class Store:
 
     # ------------------------------------------------------- unification
 
-    def _unify(self, idx, rhs, scope_id=None):
-        """Tell-mode: unify the cell at idx with `rhs`, a term told in
-        scope_id, another cell's index, or a cell value other than a ref
-        (merge replay). The walk keeps an explicit stack and pushes tails
-        before heads, so its effects come in the order of a preorder walk.
+    def _unify(self, idx, rhs, env=None):
+        """Tell-mode: unify register idx with another register, with a
+        cell value other than a ref (merge replay), or, given env, with a
+        compiled term over env. The walk keeps an explicit stack and pushes
+        tails before heads, so its effects come in the order of a preorder
+        walk; a clash latches inconsistency and skips the rest of its cell.
         """
+        if env is not None:
+            if rhs is None:
+                return
+            rhs = env[rhs] if isinstance(rhs, int) else rhs
         stack = [(idx, rhs, None)]
         while stack:
             i, t, seen = stack.pop()
-            if isinstance(t, ast.Anon):
-                continue  # an anonymous position constrains nothing
-            if isinstance(t, ast.Var):
-                t, seen = self.lookup(scope_id, t.name), None
-            elif isinstance(t, (ast.Atom, ast.Num)):
-                t = const_cell(t.name if isinstance(t, ast.Atom) else t.value)
             a, ca = self._deref(i)
-            if isinstance(t, ast.Cons):
-                if ca == UNBOUND:
-                    if self._reaches([t], a, scope_id):
-                        self.step_false = True
-                        continue
+            b = None
+            if isinstance(t, int):
+                b, t = self._deref(t)
+                if a == b:
+                    continue
+            elif t[0] == "cons":
+                if ca == UNBOUND and not (t[3] and self._reaches(
+                        [env[s] for s in t[3]], a)):
                     ca = functor_cell(self._alloc_cell(UNBOUND))
                     self._alloc_cell(UNBOUND)  # tail at head + 1
                     self._set(a, ca)
                 if ca[0] != "functor":
                     self.step_false = True
                     continue
-                stack.append((ca[1] + 1, t.tail, None))
-                stack.append((ca[1], t.head, None))
+                stack += [(h, env[p] if isinstance(p, int) else p, None)
+                          for h, p in ((ca[1] + 1, t[2]), (ca[1], t[1]))
+                          if p is not None]
                 continue
-            b = None
-            if isinstance(t, int):
-                b, t = self._deref(t)
-                if a == b:
-                    continue
             if ca == UNBOUND:
                 if b is not None and t == UNBOUND:
                     self._set(max(a, b), ref_cell(min(a, b)))
-                elif self._reaches([t], a):
+                elif t[0] == "functor" and self._reaches([t], a):
                     self.step_false = True
                 else:
                     self._set(a, t if b is None else ref_cell(b))
@@ -517,31 +556,28 @@ class Store:
                 elif r is not True:
                     self._add_row(r)
 
-    def _entailed(self, idx, rhs, scope_id):
-        """Ask-mode: does the store entail that the cell at idx equals the
-        term rhs (resolved in scope_id)? Pure; walks like `_unify`."""
-        stack = [(idx, rhs)]
+    def _entailed(self, idx, rhs, env):
+        """Ask-mode: does the store entail that register idx equals rhs, a
+        compiled term over env? Pure; walks like `_unify`."""
+        if rhs is None:
+            return True
+        stack = [(idx, env[rhs] if isinstance(rhs, int) else rhs)]
         seen = set()
         while stack:
             i, t = stack.pop()
-            if isinstance(t, ast.Anon):
-                continue
-            if isinstance(t, ast.Var):
-                t = self.lookup(scope_id, t.name)
-            elif isinstance(t, (ast.Atom, ast.Num)):
-                t = const_cell(t.name if isinstance(t, ast.Atom) else t.value)
             a, ca = self._deref(i)
-            if isinstance(t, ast.Cons):
-                if ca[0] != "functor":
-                    return False
-                stack.append((ca[1] + 1, t.tail))
-                stack.append((ca[1], t.head))
-                continue
             if isinstance(t, int):
                 b, t = self._deref(t)
                 if a == b:
                     continue
-            if ca[0] == "functor" and t[0] == "functor":  # t is cell b's value
+            elif t[0] == "cons":
+                if ca[0] != "functor":
+                    return False
+                stack += [(h, env[p] if isinstance(p, int) else p)
+                          for h, p in ((ca[1] + 1, t[2]), (ca[1], t[1]))
+                          if p is not None]
+                continue
+            if ca[0] == "functor" and t[0] == "functor":  # t is cell b's
                 key = (a, b) if a < b else (b, a)
                 if key not in seen:
                     seen.add(key)
@@ -555,21 +591,21 @@ class Store:
 
     # ----------------------------------------------------- linear support
 
-    def _resolve_linexpr(self, e, scope_id, allocate):
-        """Map variable names to dimensions/values. Returns ({dim: coef}, const)
-        or None when a variable carries no numeric information (or clashes)."""
+    def _resolve(self, code, env, allocate):
+        """A LIN code's ({dim: coef}, const) over env, or None when a
+        variable carries no numeric information (or clashes)."""
         coeffs = {}
-        const = Fraction(e.const)
-        for name, c in e.coeffs:
-            idx, cell = self._deref(self.lookup(scope_id, name))
+        const = code[3]
+        for slot, c in code[2]:
+            idx, cell = self._deref(env[slot])
             if cell == UNBOUND:
                 if not allocate:
                     return None
                 d = self._alloc_dim()
                 self._set(idx, dvar_cell(d))
-                coeffs[d] = coeffs.get(d, Fraction(0)) + c
+                coeffs[d] = coeffs.get(d, 0) + c
             elif cell[0] == "dvar":
-                coeffs[cell[1]] = coeffs.get(cell[1], Fraction(0)) + c
+                coeffs[cell[1]] = coeffs.get(cell[1], 0) + c
             elif cell[0] == "const" and isinstance(cell[1], Fraction):
                 const += c * cell[1]
             else:
@@ -578,38 +614,46 @@ class Store:
 
     # ------------------------------------------------------- instructions
 
-    def add_constraint(self, scope_id, c):
-        """Tell-mode: meet the store with a constraint, resolving in scope."""
-        if isinstance(c, ast.CTrue):
-            return
-        if isinstance(c, ast.StreamEq):
-            self._unify(self.lookup(scope_id, c.var), c.rhs, scope_id)
-            return
-        if isinstance(c, ast.Linear):
-            resolved = self._resolve_linexpr(c.lhs - c.rhs, scope_id, allocate=True)
+    def _compiled(self, scope_id, x, compile=compile_constraint):
+        """The code of a syntax-tree constraint or actual, memoized, and
+        its environment in scope_id."""
+        hit = _COMPILED.get(id(x))
+        if hit is None or hit[0] is not x:
+            if len(_COMPILED) > 4096:
+                _COMPILED.clear()
+            names = ast.free_vars(x)
+            hit = _COMPILED[id(x)] = (x, compile(x, names), names)
+        return hit[1], tuple([self.lookup(scope_id, n) for n in hit[2]])
+
+    def add_constraint(self, scope_id, c, env=None):
+        """Tell-mode: meet the store with a constraint, a code from
+        `compile_constraint` over env or, with no env, a syntax-tree
+        constraint resolved in scope_id."""
+        if env is None:
+            c, env = self._compiled(scope_id, c)
+        if c[0] == STREAM:
+            self._unify(env[c[1]], c[2], env)
+        elif c[0] == LIN:
+            resolved = self._resolve(c, env, allocate=True)
             if resolved is None:
                 self.step_false = True
-                return
-            coeffs, const = resolved
-            self._add_row(row(c.op, coeffs, const))
-            return
-        raise TypeError(f"bad constraint: {c!r}")
+            else:
+                self._add_row(row(c[1], *resolved))
 
-    def entails(self, scope_id, c):
-        """Ask-mode: is the constraint entailed? Pure - never allocates."""
-        if not self.is_consistent():
+    def entails(self, scope_id, c, env=None):
+        """Ask-mode: is the constraint, given as to `add_constraint`,
+        entailed? Pure - never allocates."""
+        if self.step_false or self.lin.empty:
             return True
-        if isinstance(c, ast.CTrue):
-            return True
-        if isinstance(c, ast.Linear):
-            resolved = self._resolve_linexpr(c.lhs - c.rhs, scope_id, allocate=False)
-            if resolved is None:
-                return False
-            coeffs, const = resolved
-            return ls_entails(self.lin, row(c.op, coeffs, const))
-        if isinstance(c, ast.StreamEq):
-            return self._entailed(self.lookup(scope_id, c.var), c.rhs, scope_id)
-        raise TypeError(f"bad constraint: {c!r}")
+        if env is None:
+            c, env = self._compiled(scope_id, c)
+        if c[0] == STREAM:
+            return self._entailed(env[c[1]], c[2], env)
+        if c[0] == LIN:
+            resolved = self._resolve(c, env, allocate=False)
+            return resolved is not None and ls_entails(self.lin,
+                                                       row(c[1], *resolved))
+        return True
 
     # -------------------------------------------------------------- merge
 

@@ -254,6 +254,60 @@ class ProgramGen:
         return e
 
 
+def _deep_list(depth, leaf):
+    return "[a | " * (depth - 1) + leaf + "]" * (depth - 1)
+
+
+# Programs in the forms that compiling specialises, none of which the
+# photocopier, the goldens or `ProgramGen` builds: (declarations, entry).
+SPECIALISED = [
+    # atom, number and expression actuals, and a formal read by a guard
+    ("p(A, N, M, S) :- exists T (tell(S = [A | T]) || tell(T = [N | _])"
+     " || now (M > N) then q(M - 1, S) else r(off, N)).\n"
+     "q(K, S) :- ask(K >= 0) -> tell(K = 3)"
+     " + ask(K < 0) -> tell(S = [neg | _]).\n"
+     "r(A, N) :- tell(N < 3) || ask(A = off) -> tell(true).",
+     "p(a, 3, X + 1, S) || tell(X = 4) || p(b, -2, 2 * Y - 1, U)"
+     " || p(on, Z, 7, W)"),
+    # cons tells and asks with variables two and three cells deep, on
+    # fresh and on bound registers
+    ("s(X, Y) :- exists B, T, U (tell(X = [a | [B | T]])"
+     " || tell(T = [[B | U] | [7 | Y]]) || tell(B = [U | nil])"
+     " || ask(X = [a | [[_ | nil] | _]]) -> tell(U = b)"
+     " || ask(X = [a | [B | [[B | U] | _]]]) -> tell(Y = [done | _])).",
+     "s(X, Y) || s(X, Z) || tell(Y = [z | _])"),
+    # an occurs check below the first cell of a bound register
+    ("o(X) :- exists A, T (tell(X = [A | T])"
+     " || ask(X = [_ | _]) -> tell(X = [A | [b | [T | _]]])).",
+     "o(X) || tell(Y = [c | _])"),
+    # linear guards in a choice (one of them twice) and in nested nows
+    ("c(N, S) :- exists T (tell(S = [N | T])"
+     " || (ask(N > 0) -> c(N - 1, T) + ask(N >= 1) -> c(N - 2, T)"
+     " + ask(N < 1) -> tell(T = nil) + ask(2 * N = 2) -> tell(T = [one | _])"
+     " + ask(N > 0) -> c(N - 1, T))"
+     " || now (N + 1 > 3) then tell(T = [_ | _])"
+     " else now (3 * N <= 1) then skip else tell(T = [_ | _])).",
+     "c(4, S) || c(X, R) || tell(X = 1)"),
+    # now inside exists inside ||, with a shadowed local
+    ("w(X, K) :- tell(K = [t | _]) || exists Y, Z ("
+     "now (X = [a | _]) then (tell(Y = 1) || exists V (now (Y > 0)"
+     " then tell(V = Y) else tell(Z = [V | _])))"
+     " else (tell(Y = 2) || exists V (now (K = [t | V]) then tell(V = [u | _])"
+     " else tell(Z = [Y | V])))"
+     " || exists Y (tell(Y = [s | _])"
+     " || now (Y = [s | _]) then skip else tell(K = [t | [Y | _]])))"
+     " || ask(true) -> w(X, K).",
+     "w(X, K) || tell(X = [a | _]) || exists Q (now (Q > 0) then skip"
+     " else (tell(Q = 1) || now (X = [a | _]) then tell(K2 = [q | _])"
+     " else skip))"),
+    # a list literal nested 300 deep, told twice in one instant and asked
+    ("", "tell(X = %s) || tell(X = %s) || ask(X = %s) -> tell(Y = done)"
+     " || tell(V = [b | _])" % (_deep_list(300, "[V | nil]"),
+                                _deep_list(300, "[W | nil]"),
+                                _deep_list(300, "[_ | _]"))),
+]
+
+
 # --------------------------------------------------------- observables
 
 def probe_set(program):

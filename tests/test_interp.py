@@ -7,6 +7,7 @@ import pytest
 
 from tccp.interp import ChoicePolicy, run
 from tccp.parser import parse_constraint, parse_program
+from tccp.store import Store
 
 
 def P(entry, decls=""):
@@ -161,6 +162,22 @@ class TestChoice:
                  " + ask(X = b) -> tell(Y = off))")
         t = trace_of(entry, policy=ChoicePolicy("first"))
         assert holds(t[3], "Y = off") and not holds(t[3], "Y = on")
+
+    def test_each_distinct_guard_is_asked_once_per_try(self, monkeypatch):
+        asked = []
+        entails = Store.entails
+
+        def counted(store, *args):
+            asked.append(args)
+            return entails(store, *args)
+
+        monkeypatch.setattr(Store, "entails", counted)
+        # the choice is tried at each of 4 instants, while tick moves
+        t = trace_of("tick(S) || (ask(X = a) -> skip + ask(X = a) -> skip"
+                     " + ask(X = b) -> skip)", steps=4,
+                     decls="tick(S) :- exists T (tell(S = [t | T]) || tick(T)).")
+        assert [el.status for el in t] == ["running"] * 5
+        assert len(asked) == 2 * 4
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError):

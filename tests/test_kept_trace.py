@@ -20,7 +20,7 @@ from tccp.cli import _jsonl_line
 from tccp.interp import ChoicePolicy, run
 from tccp.parser import parse_program
 from tccp.store import DumpMemo
-from support import ProgramGen
+from support import SPECIALISED, ProgramGen
 
 PHOTOCOPIER_ENTRY = "initialize(MIdle) || tell(MIdle = 5)"
 EVERY = (0, 1, 2, 3, 7)
@@ -188,3 +188,52 @@ def test_generated_jsonl_bytes_are_pinned(generated):
             for el in run(program, 12, policy=policy_of(kind, i)):
                 h.update(_jsonl_line(el, memo).encode() + b"\n")
     assert h.hexdigest() == GENERATED_JSONL_SHA256
+
+
+SPECIALISED_JSONL_SHA256 = (
+    "7aafc2813d67730c38cfa789f6f38028ffd4859cb4cd9734ae69acd0149ee9d0")
+
+
+def test_specialised_forms_jsonl_bytes_are_pinned():
+    """One sha256 over the full jsonl traces (12 instants, every instant)
+    of `SPECIALISED` under each policy."""
+    h = hashlib.sha256()
+    for kind in POLICIES:
+        for i, (decls, entry) in enumerate(SPECIALISED):
+            memo = DumpMemo()
+            program = parse_program(decls, entry=entry)
+            for el in run(program, 12, policy=policy_of(kind, i)):
+                h.update(_jsonl_line(el, memo).encode() + b"\n")
+    assert h.hexdigest() == SPECIALISED_JSONL_SHA256
+
+
+# Choices that list one guard several times: the photocopier's user and
+# a walker over a stream of atoms; (declarations, entry, steps).
+REPEATED_GUARDS = [
+    ((resources.files("tccp") / "programs" / "photocopier.tccp").read_text(),
+     PHOTOCOPIER_ENTRY, 40),
+    ("g(X, S) :- exists T (tell(S = [X | T])"
+     " || (ask(X = a) -> g(b, T) + ask(X = a) -> g(a, T) + ask(X = b) -> g(a, T)"
+     " + ask(X = b) -> tell(T = nil) + ask(true) -> g(X, T)"
+     " + ask(X = a) -> skip)).",
+     "g(a, S)", 30),
+]
+
+REPEATED_GUARDS_JSONL_SHA256 = (
+    "e4c79d1f8f5416b8261ae0fe46847b3100a9b21063b2d75ca3be61b7dd9ed0db")
+
+
+def test_repeated_guards_jsonl_bytes_are_pinned():
+    """One sha256 over the full jsonl traces of `REPEATED_GUARDS` under
+    --policy first, last, and random with seeds 0 to 9: the choice a
+    policy makes does not depend on how often a guard is asked."""
+    policies = [ChoicePolicy("first"), ChoicePolicy("last")] + [
+        ChoicePolicy("random", seed) for seed in range(10)]
+    h = hashlib.sha256()
+    for decls, entry, steps in REPEATED_GUARDS:
+        program = parse_program(decls, entry=entry)
+        for policy in policies:
+            memo = DumpMemo()
+            for el in run(program, steps, policy=policy):
+                h.update(_jsonl_line(el, memo).encode() + b"\n")
+    assert h.hexdigest() == REPEATED_GUARDS_JSONL_SHA256

@@ -22,7 +22,7 @@ from tccp.interp import ChoicePolicy, run
 from tccp.oracle import o_run
 from tccp.parser import parse_program
 from support import (
-    ProgramGen, machine_observables, oracle_observables, probe_set,
+    SPECIALISED, ProgramGen, machine_observables, oracle_observables, probe_set,
 )
 
 PHOTOCOPIER_ENTRY = "initialize(MIdle) || tell(MIdle = 5)"
@@ -92,6 +92,27 @@ class TestPhotocopier:
         assert m == o
 
 
+def test_every_keeps_the_same_steps_on_both_engines():
+    rng = random.Random(31)
+    for i in range(40):
+        decls, entry = ProgramGen(rng).gen()
+        program = parse_program(decls, entry=entry)
+        probes = probe_set(program)
+        for every in (0, 3, 7):
+            m = machine_observables(run(program, 12, every=every), probes)
+            o = oracle_observables(o_run(program, 12, every=every), probes)
+            assert m == o, (i, every)
+
+
+def test_the_specialised_forms_agree_under_each_policy():
+    for kind in ("first", "last", "random"):
+        for i, (decls, entry) in enumerate(SPECIALISED):
+            program = parse_program(decls, entry=entry)
+            m, o = agree(program, 12, policy=ChoicePolicy(kind),
+                         seed=i if kind == "random" else None)
+            assert m == o, (kind, i)
+
+
 class TestLongStreams:
     def test_two_streams_of_twelve_hundred_cells(self):
         # each instant adds one cell to each stream; the probes then walk
@@ -101,7 +122,7 @@ class TestLongStreams:
             entry="gen(A) || gen(B)")
         probes = probe_set(program)
         m = machine_observables(run(program, 1200, every=0), probes)
-        o = oracle_observables(o_run(program, 1200)[-1:], probes)
+        o = oracle_observables(o_run(program, 1200, every=0), probes)
         assert m[0][:2] == (1200, "running")
         assert m == o
 
@@ -127,7 +148,7 @@ class TestLongStreams:
                 ast.StreamEq("B", prefix(off_by_one))]
         probes = probe_set(program) + deep
         m = machine_observables(run(program, 600, every=0), probes)
-        o = oracle_observables(o_run(program, 600)[-1:], probes)
+        o = oracle_observables(o_run(program, 600, every=0), probes)
         assert m[0][:3] == (600, "running", True)
         assert m[0][3][-2:] == (True, False)
         assert m == o
