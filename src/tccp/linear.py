@@ -1,4 +1,4 @@
-"""Monotonic store of affine constraints over Fraction-valued dimensions.
+"""Monotonic store of affine constraints over rational-valued dimensions.
 
 Constraints are kept in a canonical integer form: `sum a_i * D_i + b  op  0`
 with op one of `=`, `<=`, `<`, coefficients scaled to integers with gcd 1,
@@ -13,8 +13,9 @@ dictionary simplex with Bland's rule, and only when some of them still
 have variables. Strict systems are decided by maximizing a common slack
 margin: the system has a solution iff its non-strict relaxation does and
 the margin's supremum is positive. Projection uses Fourier-Motzkin
-elimination with strictness propagation. Answers never depend on
-floating point.
+elimination with strictness propagation. Numbers are ints where they are
+integral and Fractions where a pivot other than +-1 divides or in the
+simplex; answers never depend on floating point.
 """
 
 from fractions import Fraction
@@ -28,6 +29,11 @@ from .errors import UnallocatedDimensionError
 FALSE_ROW = ("<", (), 0)  # 0 < 0
 
 
+def _holds(op, const):
+    """Truth of the ground row `const op 0`."""
+    return const == 0 if op == "=" else const <= 0 if op == "<=" else const < 0
+
+
 def row(op, coeffs, const):
     """Build a canonical row from op, {dim: coef} and a constant.
 
@@ -35,8 +41,7 @@ def row(op, coeffs, const):
     Returns None when the constraint is trivially true, FALSE_ROW when
     trivially false.
     """
-    work = {d: Fraction(c) for d, c in coeffs.items() if c != 0}
-    const = Fraction(const)
+    work = {d: c for d, c in coeffs.items() if c != 0}
     if op == ">":
         op, work, const = "<", {d: -c for d, c in work.items()}, -const
     elif op == ">=":
@@ -44,17 +49,16 @@ def row(op, coeffs, const):
     if op not in ("=", "<=", "<"):
         raise ValueError(f"bad op {op!r}")
     if not work:
-        truth = const == 0 if op == "=" else (const <= 0 if op == "<=" else const < 0)
-        return None if truth else FALSE_ROW
+        return None if _holds(op, const) else FALSE_ROW
     denom = 1
-    for c in list(work.values()) + [const]:
+    for c in (*work.values(), const):
         denom = denom * c.denominator // gcd(denom, c.denominator)
-    ints = {d: int(c * denom) for d, c in work.items()}
-    k = abs(int(const * denom))
-    for c in ints.values():
-        k = gcd(k, abs(c))
+    # scaled to ints; an int is its own .numerator, with .denominator 1
+    ints = {d: c.numerator * (denom // c.denominator) for d, c in work.items()}
+    const = const.numerator * (denom // const.denominator)
+    k = gcd(const, *ints.values())
     ints = {d: c // k for d, c in ints.items()}
-    const = int(const * denom) // k
+    const //= k
     if op == "=" and ints[min(ints)] < 0:
         ints = {d: -c for d, c in ints.items()}
         const = -const
@@ -78,13 +82,13 @@ def _negate(r):
 def _reduce(coeffs, const, solved):
     """Substitute the pivots of `solved` out of `sum c*D + const`.
 
-    Returns ({dim: Fraction}, Fraction) over non-pivot dimensions only.
-    Pivots are taken lowest first; a definition mentions only dimensions
-    above its pivot, so each substitution's pivot is higher than the last
-    and the loop ends.
+    Returns ({dim: coef}, const) over non-pivot dimensions only, each
+    number an int or a Fraction as the arithmetic left it. Pivots are
+    taken lowest first; a definition mentions only dimensions above its
+    pivot, so each substitution's pivot is higher than the last and the
+    loop ends.
     """
-    work = {d: Fraction(c) for d, c in coeffs}
-    const = Fraction(const)
+    work = dict(coeffs)
     todo = [d for d in work if d in solved]
     heapify(todo)
     while todo:
@@ -110,14 +114,15 @@ def _absorb(solved, r):
 
     The reduced row's lowest dimension becomes a pivot defined by the
     rest, so a definition only mentions higher dimensions that are not
-    pivots yet.
+    pivots yet. Only a pivot coefficient other than +-1 divides.
     """
     coeffs, const = _reduce(r[1], r[2], solved)
     if not coeffs:
         return const == 0
     p = min(coeffs)
     a = coeffs.pop(p)
-    solved[p] = ({j: -c / a for j, c in coeffs.items()}, -const / a)
+    m = -a if a in (1, -1) else Fraction(-1, a)  # -1 / a, never a float
+    solved[p] = ({j: m * c for j, c in coeffs.items()}, m * const)
     return True
 
 
@@ -130,7 +135,7 @@ class _Simplex:
         # x_{slack i} = rhs_i - sum mat_i[j] y_j
         self.rows = {}
         for i, (coeffs, b) in enumerate(zip(mat, rhs)):
-            self.rows[ncols + i] = (Fraction(b), {j: -c for j, c in coeffs.items() if c != 0})
+            self.rows[ncols + i] = (Fraction(b), {j: Fraction(-c) for j, c in coeffs.items() if c})
 
     def _pivot(self, leave, enter):
         const, coeffs = self.rows.pop(leave)
@@ -225,7 +230,7 @@ def _feasible(rows, solved):
         coeffs, const = _reduce(coeffs, const, solved)
         if coeffs:
             live.append((op, coeffs, const))
-        elif not (const <= 0 if op == "<=" else const < 0):
+        elif not _holds(op, const):
             return False
     if not live:
         return True
@@ -243,9 +248,9 @@ def _feasible(rows, solved):
             r[col[d]] = c
             r[col[d] + 1] = -c
         if op == "<" and has_strict:
-            r[eps] = Fraction(1)
+            r[eps] = 1
         mat.append(r)
-        rhs.append(-Fraction(const))
+        rhs.append(-const)
     ncols = eps + 1 if has_strict else eps
     sx = _Simplex(mat, rhs, ncols)
     if not has_strict:
@@ -265,9 +270,11 @@ class LinStore:
 
     `rows` are the rows as told and alone make the store's value. The
     other fields index them: `solved` holds the equalities in solved
-    form, pivot dimension -> ({dim: Fraction}, Fraction) meaning
-    D_pivot = sum c*D + k, and `ineqs` holds the inequality rows. Once a
-    store is empty the index stops following `rows`; nothing reads it.
+    form, pivot dimension -> ({dim: coef}, k) meaning D_pivot =
+    sum coef*D + k, each number an int where it is integral and a
+    Fraction otherwise, and `ineqs` holds the inequality rows that the
+    solved form does not decide. Once a store is empty the index stops
+    following `rows`; nothing reads it.
     """
 
     __slots__ = ("dims", "rows", "solved", "ineqs", "empty", "_memo")
@@ -309,8 +316,9 @@ def ls_grow(s, dims):
 def _told(s, dims, new):
     """`s` over `dims` dimensions with the rows `new`, none of them in `s`, told.
 
-    Only the new rows go through the solved form; the feasibility check
-    then reduces the inequalities through it.
+    Only the new rows go through the solved form. An inequality that it
+    reduces to a true constant stays true as the store grows, so it leaves
+    `ineqs` for good; the feasibility check reduces the rest through it.
     """
     if not new:
         return ls_grow(s, dims)
@@ -323,6 +331,12 @@ def _told(s, dims, new):
             ineqs += (r,)
         elif not _absorb(solved, r):
             return LinStore(dims, rows, solved, ineqs, True)
+    live = []
+    for r in ineqs:
+        coeffs, const = _reduce(r[1], r[2], solved)
+        if coeffs or not _holds(r[0], const):
+            live.append(r)
+    ineqs = tuple(live)
     return LinStore(dims, rows, solved, ineqs, not _feasible(ineqs, solved))
 
 

@@ -117,8 +117,13 @@ def _term(t, names):
     return done[0]
 
 
+def _int(c):  # integral numbers as ints, so that tells sum ints
+    return c.numerator if c.denominator == 1 else c
+
+
 def _linear(op, e, names):
-    return (LIN, op, tuple((_slot(names, n), c) for n, c in e.coeffs), e.const)
+    return (LIN, op, tuple((_slot(names, n), _int(c)) for n, c in e.coeffs),
+            _int(e.const))
 
 
 def compile_constraint(c, names):

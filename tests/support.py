@@ -8,11 +8,15 @@ must agree on every system.
 """
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from math import gcd
 from pathlib import Path
 
 import tccp
 from tccp import ast
-from tccp.linear import ls_add, ls_entails, ls_grow, ls_meet, ls_new, row
+from tccp.linear import (
+    FALSE_ROW, ls_add, ls_entails, ls_grow, ls_meet, ls_new, row,
+)
 
 
 # ------------------------------------------------------- FM feasibility
@@ -87,6 +91,91 @@ def fm_feasible(rows):
                 new.append((op2, cs2, k2))
         if not _fm_tidy(best, new):
             return False
+    return True
+
+
+# ------------------------------------ reference Fraction-only arithmetic
+
+# `row`, `_reduce` and `_absorb` as they were when every number in them
+# was a Fraction, the reference for the differential test of the int
+# arithmetic that replaced them; only the names are changed.
+
+def fraction_row(op, coeffs, const):
+    """Build a canonical row from op, {dim: coef} and a constant.
+
+    Input ops may include `>`, `>=`; they are flipped into `<`, `<=`.
+    Returns None when the constraint is trivially true, FALSE_ROW when
+    trivially false.
+    """
+    work = {d: Fraction(c) for d, c in coeffs.items() if c != 0}
+    const = Fraction(const)
+    if op == ">":
+        op, work, const = "<", {d: -c for d, c in work.items()}, -const
+    elif op == ">=":
+        op, work, const = "<=", {d: -c for d, c in work.items()}, -const
+    if op not in ("=", "<=", "<"):
+        raise ValueError(f"bad op {op!r}")
+    if not work:
+        truth = const == 0 if op == "=" else (const <= 0 if op == "<=" else const < 0)
+        return None if truth else FALSE_ROW
+    denom = 1
+    for c in list(work.values()) + [const]:
+        denom = denom * c.denominator // gcd(denom, c.denominator)
+    ints = {d: int(c * denom) for d, c in work.items()}
+    k = abs(int(const * denom))
+    for c in ints.values():
+        k = gcd(k, abs(c))
+    ints = {d: c // k for d, c in ints.items()}
+    const = int(const * denom) // k
+    if op == "=" and ints[min(ints)] < 0:
+        ints = {d: -c for d, c in ints.items()}
+        const = -const
+    return (op, tuple(sorted(ints.items())), const)
+
+
+def fraction_reduce(coeffs, const, solved):
+    """Substitute the pivots of `solved` out of `sum c*D + const`.
+
+    Returns ({dim: Fraction}, Fraction) over non-pivot dimensions only.
+    Pivots are taken lowest first; a definition mentions only dimensions
+    above its pivot, so each substitution's pivot is higher than the last
+    and the loop ends.
+    """
+    work = {d: Fraction(c) for d, c in coeffs}
+    const = Fraction(const)
+    todo = [d for d in work if d in solved]
+    heapify(todo)
+    while todo:
+        p = heappop(todo)
+        f = work.pop(p, None)
+        if f is None:  # cancelled out by an earlier substitution
+            continue
+        dcoeffs, dconst = solved[p]
+        for j, c in dcoeffs.items():
+            v = work.get(j, 0) + f * c
+            if v:
+                if j not in work and j in solved:
+                    heappush(todo, j)
+                work[j] = v
+            else:
+                del work[j]
+        const += f * dconst
+    return work, const
+
+
+def fraction_absorb(solved, r):
+    """Add the equality row `r` to `solved` in place; False if it contradicts it.
+
+    The reduced row's lowest dimension becomes a pivot defined by the
+    rest, so a definition only mentions higher dimensions that are not
+    pivots yet.
+    """
+    coeffs, const = fraction_reduce(r[1], r[2], solved)
+    if not coeffs:
+        return const == 0
+    p = min(coeffs)
+    a = coeffs.pop(p)
+    solved[p] = ({j: -c / a for j, c in coeffs.items()}, -const / a)
     return True
 
 
@@ -305,6 +394,39 @@ SPECIALISED = [
      " || tell(V = [b | _])" % (_deep_list(300, "[V | nil]"),
                                 _deep_list(300, "[W | nil]"),
                                 _deep_list(300, "[_ | _]"))),
+]
+
+# Programs whose asks turn on solved values that are not integers:
+# (declarations, entry).
+FRACTIONAL = [
+    # X = 3/2 against guards on either side of it
+    ("h(X, A, B, C) :- now (X > 1) then tell(A = gt) else tell(A = le)"
+     " || now (2 * X < 3) then tell(B = lt) else tell(B = ge)"
+     " || ask(4 * X >= 6) -> tell(C = half).",
+     "tell(2 * X = 3) || h(X, A, B, C) || ask(X > 1) -> h(X, D, E, F)"),
+    # 3 * X = 2 * Y + 1 chained over instants, from 5 up past 40 and from
+    # 1/3 down
+    ("ch(X, S) :- now (X > 40) then tell(S = nil) else exists Y, T"
+     " (tell(3 * X = 2 * Y + 1) || tell(S = [Y | T]) || ch(Y, T)).",
+     "ch(X, S) || tell(X = 5) || ch(Z, U) || tell(3 * Z = 1)"),
+    # strict inequalities over two variables, decided by the simplex
+    ("m(X, Y, P, Q, R) :- tell(2 * X + 3 * Y < 7) || tell(X > 1) || tell(Y > 1)"
+     " || ask(3 * Y < 5) -> tell(3 * Y > 4) || ask(3 * Y < 5) -> tell(P = y)"
+     " || now (2 * X + 3 * Y < 6) then tell(Q = six) else tell(Q = no)"
+     " || ask(2 * X < 3) -> tell(R = x) + ask(3 * X > 4) -> tell(R = big).",
+     "m(X, Y, P, Q, R) || exists A, B (tell(3 * A > 2 * B + 1)"
+     " || tell(2 * B >= 5)"
+     " || ask(true) -> now (A > 2) then tell(T = a) else tell(T = b))"),
+    # expression actuals with non-unit coefficients, X = 7/4
+    ("p(N, A, B) :- now (N > 4) then tell(A = big) else tell(A = small)"
+     " || ask(2 * N = 9) -> tell(B = nine).",
+     "tell(4 * X = 7) || p(2 * X + 1, S, T) || p(3 * X - 2, U, V)"),
+    # numeric clashes that end the run failed, by an equality and by a
+    # strict bound
+    ("f(X) :- ask(X > 1) -> tell(4 * X = 5) + ask(X < 1) -> skip.",
+     "tell(2 * X = 3) || f(X)"),
+    ("g(Y) :- ask(Y > 1) -> tell(4 * Y < 6).",
+     "tell(2 * Y > 3) || g(Y)"),
 ]
 
 

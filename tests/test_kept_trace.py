@@ -20,7 +20,7 @@ from tccp.cli import _jsonl_line
 from tccp.interp import ChoicePolicy, run
 from tccp.parser import parse_program
 from tccp.store import DumpMemo
-from support import SPECIALISED, ProgramGen
+from support import FRACTIONAL, SPECIALISED, ProgramGen
 
 PHOTOCOPIER_ENTRY = "initialize(MIdle) || tell(MIdle = 5)"
 EVERY = (0, 1, 2, 3, 7)
@@ -194,17 +194,31 @@ SPECIALISED_JSONL_SHA256 = (
     "7aafc2813d67730c38cfa789f6f38028ffd4859cb4cd9734ae69acd0149ee9d0")
 
 
-def test_specialised_forms_jsonl_bytes_are_pinned():
+def policies_sha256(programs):
     """One sha256 over the full jsonl traces (12 instants, every instant)
-    of `SPECIALISED` under each policy."""
+    of (declarations, entry) pairs under each policy."""
     h = hashlib.sha256()
     for kind in POLICIES:
-        for i, (decls, entry) in enumerate(SPECIALISED):
+        for i, (decls, entry) in enumerate(programs):
             memo = DumpMemo()
             program = parse_program(decls, entry=entry)
             for el in run(program, 12, policy=policy_of(kind, i)):
                 h.update(_jsonl_line(el, memo).encode() + b"\n")
-    assert h.hexdigest() == SPECIALISED_JSONL_SHA256
+    return h.hexdigest()
+
+
+def test_specialised_forms_jsonl_bytes_are_pinned():
+    assert policies_sha256(SPECIALISED) == SPECIALISED_JSONL_SHA256
+
+
+FRACTIONAL_JSONL_SHA256 = (
+    "eb7eed629216fc2d0b9d783965e836db76d7d02e75c3927dd4878446d2bb1d1f")
+
+
+def test_fractional_numerics_jsonl_bytes_are_pinned():
+    """Asks and failures that turn on solved values that are not
+    integers."""
+    assert policies_sha256(FRACTIONAL) == FRACTIONAL_JSONL_SHA256
 
 
 # Choices that list one guard several times: the photocopier's user and

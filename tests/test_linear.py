@@ -1,11 +1,12 @@
 """Linear store: hand cases, a Fourier-Motzkin differential, and the
 projection/meet laws the rest of the system leans on."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from tccp import linear
 from tccp.errors import UnallocatedDimensionError
@@ -13,7 +14,10 @@ from tccp.linear import (
     FALSE_ROW, dump_lin, dump_row, ls_add, ls_entails, ls_grow,
     ls_is_empty, ls_meet, ls_new, ls_project, row,
 )
-from support import fm_feasible, random_row, random_store, stores_equivalent
+from support import (
+    fm_feasible, fraction_absorb, fraction_reduce, fraction_row, random_row,
+    random_store, stores_equivalent,
+)
 
 
 def R(op, coeffs, const):
@@ -163,6 +167,29 @@ class TestFeasibilityDifferential:
             if c is None:
                 continue
             assert ls_entails(s, c) == fm_entails(s.rows, c)
+
+    def test_inequalities_told_before_and_after_their_pins(self):
+        # pins make D0..D2 ground (D0 = 3/2, D1 = 5/2, D2 = 5/3), and each
+        # inequality becomes ground at some point of each order
+        pins = [R("=", {0: 2}, -3), R("=", {1: 1, 0: -1}, -1),
+                R("=", {2: 3, 1: -2}, 0)]
+        ineq_sets = [
+            [R("<=", {0: 1, 1: 1}, -4), R(">", {2: 6, 0: -1}, -9)],
+            [R("<", {0: 2}, -3), R(">=", {1: 1}, 0)],  # 2*D0 < 3 fails
+            [R("<=", {1: 2, 2: -3}, 0), R(">", {2: 1, 3: -1}, 0)],  # D3 free
+            [R(">=", {0: 4, 2: 3}, -11), R("<", {1: 1, 3: 1}, 0),
+             R(">", {3: 1}, -3)],
+        ]
+        for ineqs in ineq_sets:
+            for order in itertools.permutations(pins + ineqs):
+                s = store(4)
+                for r in order:
+                    s = ls_add(s, r)
+                    assert ls_is_empty(s) == (not fm_feasible(s.rows)), order
+                if not ls_is_empty(s):  # the ground ones are retired
+                    assert all(any(d == 3 for d, _ in r[1]) for r in s.ineqs)
+                q = R("<", {3: 1}, 0)
+                assert ls_entails(s, q) == fm_entails(s.rows, q), order
 
 
 # ----------------------------------------------------------- dim growth
@@ -395,6 +422,78 @@ class TestProjection:
             s = random_store(rng, dims=3, max_rows=5)
             p = ls_project(s, rng.randrange(3))
             assert ls_is_empty(p) == ls_is_empty(s) == (not fm_feasible(s.rows))
+
+
+# ------------------------------------------ int arithmetic vs Fraction
+
+# integral and non-integral numbers, units, and ints far past a machine word
+number = st.one_of(
+    st.integers(-3, 3), st.integers(-10 ** 30, 10 ** 30),
+    st.integers(-6, 6).map(Fraction),
+    st.fractions(min_value=-20, max_value=20, max_denominator=7))
+raw_row = st.tuples(st.sampled_from(["=", "<=", "<", ">", ">="]),
+                    st.dictionaries(st.integers(0, 4), number, max_size=4),
+                    number)
+
+
+def floats_in(x):
+    """Every float anywhere in nested tuples, lists, dicts and numbers."""
+    todo, found = [x], []
+    while todo:
+        x = todo.pop()
+        if isinstance(x, float):
+            found.append(x)
+        elif isinstance(x, dict):
+            todo += x.items()
+        elif isinstance(x, (tuple, list)):
+            todo += x
+    return found
+
+
+class TestIntArithmetic:
+    """The int arithmetic of `row`, `_reduce` and `_absorb` against the
+    Fraction-only reference in support.py: the same canonical rows, the
+    same solved form, and no float anywhere."""
+
+    @given(raw_row)
+    def test_canonical_rows_are_the_references_in_ints(self, raw):
+        r = row(*raw)
+        assert r == fraction_row(*raw)
+        if r is not None:
+            assert all(type(x) is int for x in (r[2], *sum(r[1], ())))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(raw_row, max_size=8))
+    def test_solved_forms_match_and_hold_no_float(self, raws):
+        built = []
+
+        class Recorded(linear._Simplex):
+            def solve(self, objective_col=None):
+                built.append(self)
+                return super().solve(objective_col)
+
+        saved, linear._Simplex = linear._Simplex, Recorded
+        try:
+            s, solved = store(5), {}
+            for raw in raws:
+                r = row(*raw)
+                if r is None or r in s.rows or ls_is_empty(s):
+                    continue
+                s = ls_add(s, r)
+                if r[0] == "=" and not fraction_absorb(solved, r):
+                    assert ls_is_empty(s)
+                if ls_is_empty(s):
+                    continue
+                assert s.solved == solved
+                for _, coeffs, const in s.rows:
+                    assert linear._reduce(coeffs, const, s.solved) == \
+                        fraction_reduce(coeffs, const, solved)
+                assert not floats_in((s.solved, s.ineqs)), s.rows
+                assert not floats_in([sx.rows for sx in built]), s.rows
+                ls_entails(s, R("<", {0: 1, 4: 2}, 1))  # one more simplex
+                assert not floats_in([sx.rows for sx in built]), s.rows
+        finally:
+            linear._Simplex = saved
 
 
 # ------------------------------------------------------- canonical rows
