@@ -9,15 +9,26 @@ became inconsistent, 1 on parse/scope errors.
 """
 
 import argparse
-import json
 import sys
 import time
 
 from .errors import TccpError
-from .interp import ChoicePolicy, FAILED, run
-from .linear import dump_lin
 from .parser import parse_program
-from .store import DumpMemo
+
+_SIMULATOR = ("run", "ChoicePolicy", "FAILED", "DumpMemo", "dump_lin", "json")
+
+
+def __getattr__(name):
+    """Bind the simulator's names not yet bound; `check` never needs them."""
+    if name not in _SIMULATOR:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import json
+    from .interp import ChoicePolicy, FAILED, run
+    from .linear import dump_lin
+    from .store import DumpMemo
+    for key in _SIMULATOR:
+        globals().setdefault(key, locals()[key])
+    return globals()[name]
 
 
 def _build_argparser():
@@ -150,11 +161,10 @@ def main(argv=None):
         print(f"error: {problem}", file=sys.stderr)
         return 1
     try:
-        if args.command == "run":
-            return cmd_run(args)
         if args.command == "check":
             return cmd_check(args)
-        return cmd_stats(args)
+        __getattr__("run")  # binds every simulator name
+        return cmd_run(args) if args.command == "run" else cmd_stats(args)
     except (TccpError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -223,8 +223,8 @@ class _Simplex:
 
 
 def _feasible(rows, solved):
-    """Exact satisfiability of canonical inequality rows, conjoined with a
-    solved form (see `LinStore`), over the rationals."""
+    """Exact satisfiability of inequality rows, canonical or reduced, conjoined
+    with a solved form (see `LinStore`), over the rationals."""
     live = []
     for op, coeffs, const in rows:
         coeffs, const = _reduce(coeffs, const, solved)
@@ -318,7 +318,7 @@ def _told(s, dims, new):
 
     Only the new rows go through the solved form. An inequality that it
     reduces to a true constant stays true as the store grows, so it leaves
-    `ineqs` for good; the feasibility check reduces the rest through it.
+    `ineqs` for good; the rest reach the feasibility check reduced.
     """
     if not new:
         return ls_grow(s, dims)
@@ -331,13 +331,14 @@ def _told(s, dims, new):
             ineqs += (r,)
         elif not _absorb(solved, r):
             return LinStore(dims, rows, solved, ineqs, True)
-    live = []
+    live, reduced = [], []
     for r in ineqs:
         coeffs, const = _reduce(r[1], r[2], solved)
         if coeffs or not _holds(r[0], const):
             live.append(r)
-    ineqs = tuple(live)
-    return LinStore(dims, rows, solved, ineqs, not _feasible(ineqs, solved))
+            reduced.append((r[0], coeffs, const))
+    return LinStore(dims, rows, solved, tuple(live),
+                    not _feasible(reduced, solved))
 
 
 def _check_dims(s, r):

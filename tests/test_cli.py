@@ -305,6 +305,21 @@ class TestExitCodes:
 
 # ---------------------------------------------------------- determinism
 
+# what `tccp check` and `import tccp` must not load
+SIMULATOR = {"tccp.interp", "tccp.store", "tccp.linear", "json", "heapq"}
+# the photocopier's jsonl at 30 instants, --policy last, and its sha256
+RUN_30 = ["run", "--program", PHOTOCOPIER, "--entry", PHOTOCOPIER_ENTRY,
+          "--steps", "30", "--policy", "last", "--format", "jsonl"]
+PHOTOCOPIER_30 = \
+    "2c90a7d6022f54e62fd3562c1f135eb243b095fa49d19727b715a5d8e2813c74"
+
+
+def bare_child(*args):
+    """`python -S <args>` with cli_child_env(0); -S keeps site's imports out."""
+    return subprocess.run([sys.executable, "-S", *args], capture_output=True,
+                          env=cli_child_env(0))
+
+
 class TestStartup:
     def test_import_loads_no_dataclasses_inspect_or_typing(self):
         # -S: site would load typing itself and hide the package loading it;
@@ -316,6 +331,74 @@ class TestStartup:
                            capture_output=True, text=True, env=cli_child_env(0))
         assert r.returncode == 0, r.stderr
         assert r.stdout == "[] True\n"
+
+    def test_check_loads_no_simulator(self):
+        r = bare_child("-X", "importtime", "-m", "tccp.cli", "check",
+                       "--program", PHOTOCOPIER, "--entry", PHOTOCOPIER_ENTRY)
+        assert r.returncode == 0, r.stderr
+        assert r.stdout == b"ok: 4 declarations\n"
+        loaded = {line.rsplit(b"|", 1)[1].strip().decode()
+                  for line in r.stderr.splitlines()[1:]}
+        assert "tccp.parser" in loaded
+        assert not SIMULATOR & loaded
+
+    def test_parsing_loads_no_simulator(self):
+        code = (f"import sys, tccp; tccp.parse_program(open({PHOTOCOPIER!r})"
+                f".read(), entry={PHOTOCOPIER_ENTRY!r}); "
+                f"print(sorted({SIMULATOR!r} & set(sys.modules)))")
+        r = bare_child("-c", code)
+        assert r.returncode == 0, r.stderr
+        assert r.stdout == b"[]\n"
+
+    def test_simulator_names_load_on_first_use(self):
+        code = ("from tccp import *\n"
+                "import tccp, tccp.interp as i\n"
+                "from tccp import run as r, ChoicePolicy as c\n"
+                "print(run is r is tccp.run is i.run, "
+                "ChoicePolicy is c is tccp.ChoicePolicy is i.ChoicePolicy, "
+                "hasattr(tccp, 'nope'))")
+        r = bare_child("-c", code)
+        assert r.returncode == 0, r.stderr
+        assert r.stdout == b"True True False\n"
+
+    def test_console_script_prints_what_the_module_prints(self):
+        script = bare_child(
+            "-c", f"import sys, tccp.cli; sys.exit(tccp.cli.main({RUN_30!r}))")
+        module = bare_child("-m", "tccp.cli", *RUN_30)
+        assert script.returncode == module.returncode == 0, script.stderr
+        assert script.stdout == module.stdout
+        assert hashlib.sha256(script.stdout).hexdigest() == PHOTOCOPIER_30
+
+
+class TestWrappedNames:
+    """perfbench/traced.py reads and replaces tccp.cli's simulator names
+    before main runs; main must run what it finds there."""
+
+    def test_wrappers_installed_before_main_run(self):
+        code = f"""
+import sys, tccp.cli as cli
+calls = {{"run": 0, "dumps": 0}}
+real_run, parse, dumps = cli.run, cli.parse_program, cli.json.dumps
+
+def run(*args, **kwargs):
+    calls["run"] += 1
+    return real_run(*args, **kwargs)
+
+class Json:
+    def dumps(self, *args, **kwargs):
+        calls["dumps"] += 1
+        return dumps(*args, **kwargs)
+
+cli.run, cli.json = run, Json()
+code = cli.main({RUN_30!r})
+sys.stdout.flush()
+print(calls, parse is cli.parse_program, file=sys.stderr)
+sys.exit(code)
+"""
+        r = bare_child("-c", code)
+        assert r.returncode == 0, r.stderr
+        assert r.stderr == b"{'run': 1, 'dumps': 31} True\n"
+        assert hashlib.sha256(r.stdout).hexdigest() == PHOTOCOPIER_30
 
 
 class TestDeterminism:

@@ -15,12 +15,15 @@ from importlib import resources
 
 import pytest
 
-from tccp import interp
+from tccp import cli, interp
 from tccp.cli import _jsonl_line
 from tccp.interp import ChoicePolicy, run
 from tccp.parser import parse_program
 from tccp.store import DumpMemo
 from support import FRACTIONAL, SPECIALISED, ProgramGen
+
+# _jsonl_line reads `json`, which tccp.cli binds on first use, as main does
+getattr(cli, "json")
 
 PHOTOCOPIER_ENTRY = "initialize(MIdle) || tell(MIdle = 5)"
 EVERY = (0, 1, 2, 3, 7)
