@@ -67,8 +67,3 @@ class UnallocatedDimensionError(TccpError):
         self.dims = dims
         super().__init__(f"dimension {dim} not allocated (store has {dims})")
 
-
-class UnboundActualError(TccpError):
-    def __init__(self, name):
-        self.name = name
-        super().__init__(f"actual parameter {name} not resolvable in caller scope")

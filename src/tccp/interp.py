@@ -70,33 +70,38 @@ def _compile(agent, names, calls):
     """The instruction for `agent`, run over an environment laid out as
     `names`. Instructions are made parent first, from an explicit stack,
     and each goes into the list of its parent's children; every CALL also
-    goes into `calls`."""
+    goes into `calls`. Each scope maps its names to their slots in one
+    dict, built once, in which the last equal name wins; beside it goes
+    n, the length of the environment, so an exists's k names take slots
+    n ... n+k-1."""
     root = []
-    todo = [(agent, names, root)]
+    todo = [(agent, {name: i for i, name in enumerate(names)}, len(names),
+             root)]
     while todo:
-        a, names, out = todo.pop()
-        kids, inner = (), names
+        a, slots, n, out = todo.pop()
+        kids, inner = (), (slots, n)
         if isinstance(a, ast.Tell):
-            ins = [TELL, a, compile_constraint(a.constraint, names)]
+            ins = [TELL, a, compile_constraint(a.constraint, slots)]
         elif isinstance(a, ast.Choice):
             # equal guards print alike; flat text compares without recursing
             keys = [(type(g), ast.pretty_constraint(g)) for g, _ in a.branches]
-            distinct = {k: compile_constraint(g, names)
+            distinct = {k: compile_constraint(g, slots)
                         for k, (g, _) in zip(keys, a.branches)}
             ins = [CHOOSE, a, list(distinct.values()),
                    [list(distinct).index(k) for k in keys]]
             kids = [body for _, body in a.branches]
         elif isinstance(a, ast.Now):
-            ins = [NOW, a, compile_constraint(a.cond, names)]
+            ins = [NOW, a, compile_constraint(a.cond, slots)]
             kids = (a.then_agent, a.else_agent)
         elif isinstance(a, ast.Parallel):
             ins, kids = [PAR, a], a.agents
         elif isinstance(a, ast.Exists):
             ins, kids = [HIDE, a, a.vars], (a.body,)
-            inner = names + tuple(a.vars)
+            inner = ({**slots, **{v: n + i for i, v in enumerate(a.vars)}},
+                     n + len(a.vars))
         elif isinstance(a, ast.Call):
             ins = [CALL, a, a.name,
-                   [compile_actual(x, names) for x in a.actuals]]
+                   [compile_actual(x, slots) for x in a.actuals]]
             calls.append(ins)
         elif isinstance(a, ast.Skip):
             ins = [SKIP, a]
@@ -105,7 +110,7 @@ def _compile(agent, names, calls):
         out.append(ins)
         if kids:
             ins.append([])
-            todo += [(kid, inner, ins[-1]) for kid in reversed(kids)]
+            todo += [(kid, *inner, ins[-1]) for kid in reversed(kids)]
     return root[0]
 
 
@@ -148,7 +153,7 @@ def step(config, policy, rng):
         while code[0] == NOW or code[0] == HIDE:  # go on in the same instant
             if code[0] == NOW:
                 moved = True  # even when the branch it runs cannot move
-                code = code[3][0 if snap.entails(scope, code[2], env) else 1]
+                code = code[3][0 if snap.entails(code[2], env) else 1]
             else:
                 regs = tuple([snap.new_cell() for _ in code[2]])
                 scope = snap.add_scope(EXISTS, scope, dict(zip(code[2], regs)))
@@ -156,10 +161,10 @@ def step(config, policy, rng):
                 code = code[3][0]
         op = code[0]
         if op == TELL:
-            snap.add_constraint(scope, code[2], env)
+            snap.add_constraint(code[2], env)
             moved = True
         elif op == CHOOSE:
-            asked = [snap.entails(scope, g, env) for g in code[2]]
+            asked = [snap.entails(g, env) for g in code[2]]
             enabled = [k for k, g in enumerate(code[3]) if asked[g]]
             if enabled:
                 code = code[4][policy.choose(enabled, rng)]
@@ -172,7 +177,7 @@ def step(config, policy, rng):
                      for kid in reversed(code[2])]
             continue
         elif op == CALL:
-            regs = tuple([snap.actual_cell(a, scope, env) for a in code[3]])
+            regs = tuple([snap.actual_cell(a, env) for a in code[3]])
             scope = snap.add_scope(PROC_CALL, scope, dict(zip(code[4], regs)),
                                    code[2])
             threads.append(Thread(code[5], scope, regs))

@@ -10,13 +10,15 @@ head and tail freshly allocated at adjacent positions. Numeric variables
 become DiscreteVar cells pointing at linear-store dimensions; dimensions
 are allocated lazily, on first use in a linear constraint.
 
-Tells and asks take constraints compiled over an environment, the
-registers of the names in scope, one per slot, laid out as a tuple
-`names` whose last equal name is the innermost. A term compiles to None
-for `_`, a variable's slot, a constant's cell, or ("cons", head, tail,
-the slots of the variables under it); a constraint to (STREAM, slot,
-term), (LIN, op, ((slot, coef), ...), const) for `sum coef * var + const
-op 0`, or (TRUE,); an actual parameter to a slot, a cell or a LIN code.
+Tells, asks and call actuals have one calling convention: a code and
+its environment, the tuple of the registers of the names in scope, one
+per slot. A code is compiled over `slots`, a dict from each name in
+scope to its slot (an inner name shadows an outer equal one). A term
+compiles to None for `_`, a variable's slot, a constant's cell, or
+("cons", head, tail, the slots of the variables under it); a constraint
+to (STREAM, slot, term), (LIN, op, ((slot, coef), ...), const) for `sum
+coef * var + const op 0`, or (TRUE,); an actual parameter to a slot, a
+cell or a LIN code.
 
 Stores are stepped through snapshots: each thread of one time instant
 executes on its own branch. Every store of one run shares one `Base`:
@@ -46,7 +48,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_str
 
 from . import ast
-from .errors import UnboundActualError, UnknownSymbolError
+from .errors import UnknownSymbolError
 from .linear import (
     dump_lin, ls_add, ls_entails, ls_grow, ls_is_empty, ls_meet, ls_new, row,
 )
@@ -91,24 +93,20 @@ def _leaf_rule(ca, cb):
 TRUE, STREAM, LIN = "true", "stream", "lin"
 
 
-def _slot(names, name):
-    return len(names) - 1 - names[::-1].index(name)
-
-
-def _term(t, names):
+def _term(t, slots):
     done, todo = [], [t]
     while todo:  # children first, from an explicit stack
         t = todo.pop()
         if t is None:  # the head and tail of a cons are done
             tail, head = done.pop(), done.pop()
-            slots = frozenset().union(*[
+            under = frozenset().union(*[
                 (p,) if isinstance(p, int) else p[3] if p and p[0] == "cons"
                 else () for p in (head, tail)])
-            done.append(("cons", head, tail, slots))
+            done.append(("cons", head, tail, under))
         elif isinstance(t, ast.Cons):
             todo += (None, t.tail, t.head)
         elif isinstance(t, ast.Var):
-            done.append(_slot(names, t.name))
+            done.append(slots[t.name])
         elif isinstance(t, ast.Anon):
             done.append(None)
         else:
@@ -121,31 +119,27 @@ def _int(c):  # integral numbers as ints, so that tells sum ints
     return c.numerator if c.denominator == 1 else c
 
 
-def _linear(op, e, names):
-    return (LIN, op, tuple((_slot(names, n), _int(c)) for n, c in e.coeffs),
+def _linear(op, e, slots):
+    return (LIN, op, tuple((slots[n], _int(c)) for n, c in e.coeffs),
             _int(e.const))
 
 
-def compile_constraint(c, names):
-    """The code of a syntax-tree constraint over `names`."""
+def compile_constraint(c, slots):
+    """The code of a syntax-tree constraint over `slots`."""
     if isinstance(c, ast.StreamEq):
-        return (STREAM, _slot(names, c.var), _term(c.rhs, names))
+        return (STREAM, slots[c.var], _term(c.rhs, slots))
     if isinstance(c, ast.Linear):
-        return _linear(c.op, c.lhs - c.rhs, names)
+        return _linear(c.op, c.lhs - c.rhs, slots)
     if isinstance(c, ast.CTrue):
         return (TRUE,)
     raise TypeError(f"bad constraint: {c!r}")
 
 
-def compile_actual(a, names):
-    """The code of a call's actual parameter over `names`."""
+def compile_actual(a, slots):
+    """The code of a call's actual parameter over `slots`."""
     if isinstance(a, ast.LinExpr):
-        return _linear("=", a, names)
-    return _term(a, names)
-
-
-# id of a syntax-tree constraint or actual -> (it, its code, its names)
-_COMPILED = {}
+        return _linear("=", a, slots)
+    return _term(a, slots)
 
 
 class Base:
@@ -213,10 +207,9 @@ class Layer:
 
 # A register's document is {"kind": cell[0]} plus, for every kind but
 # "unbound", the one field named here, which holds cell[1] (a const's
-# number as a string: "42", "-3", "1/2"). `_cell_doc` builds it and
-# `_cell_text` writes it as compact JSON; `_node_doc` and `_node_text` do
-# the same for a scope node. Differential tests hold each text equal to
-# json.dumps of its document.
+# number as a string: "42", "-3", "1/2"). `_cell_text` writes it as
+# compact JSON, and `_node_text` a scope node's. Differential tests hold
+# each text equal to json.dumps of a document built independently.
 _CELL_FIELD = {"unbound": None, "const": "value", "dvar": "dim",
                "ref": "to", "functor": "head"}
 
@@ -228,15 +221,6 @@ def _cell_arg(cell):
     return v
 
 
-def _cell_doc(cell):
-    if cell is None:
-        return None
-    field = _CELL_FIELD[cell[0]]
-    if field is None:
-        return {"kind": cell[0]}
-    return {"kind": cell[0], field: _cell_arg(cell)}
-
-
 def _cell_text(cell):
     if cell is None:
         return "null"
@@ -246,13 +230,6 @@ def _cell_text(cell):
     arg = _cell_arg(cell)
     return '{"kind":"%s","%s":%s}' % (
         cell[0], field, _json_str(arg) if isinstance(arg, str) else arg)
-
-
-def _node_doc(node):
-    if node is None:
-        return None
-    return {"id": node.id, "parent": node.parent, "kind": node.kind,
-            "label": node.label, "symbols": dict(node.symbols)}
 
 
 def _node_text(node):
@@ -403,9 +380,6 @@ class Store:
     def _add_row(self, r):
         self.lin = ls_add(ls_grow(self.lin, self.base.next_dim), r)
 
-    def deref(self, idx):
-        return self._deref(idx)[0]
-
     def _deref(self, idx):
         """The register at the end of idx's ref chain, and its cell."""
         log, inh, memory = self.write_log, self.inherited, self.base.memory
@@ -462,19 +436,10 @@ class Store:
             nid = node.parent
         raise UnknownSymbolError(name)
 
-    def actual_cell(self, actual, caller_scope, env=None):
+    def actual_cell(self, actual, env):
         """The register of a formal whose actual is `actual`, a code from
         `compile_actual` over env: the caller's own register for a
-        variable, else a new one. With no env, `actual` is a syntax-tree
-        actual, resolved in caller_scope."""
-        if env is None:
-            try:
-                actual, env = self._compiled(caller_scope, actual,
-                                             compile_actual)
-            except UnknownSymbolError:
-                if not isinstance(actual, ast.Var):
-                    raise
-                raise UnboundActualError(actual.name) from None
+        variable, else a new one."""
         if isinstance(actual, int):
             return env[actual]
         if actual[0] == "const":
@@ -619,23 +584,9 @@ class Store:
 
     # ------------------------------------------------------- instructions
 
-    def _compiled(self, scope_id, x, compile=compile_constraint):
-        """The code of a syntax-tree constraint or actual, memoized, and
-        its environment in scope_id."""
-        hit = _COMPILED.get(id(x))
-        if hit is None or hit[0] is not x:
-            if len(_COMPILED) > 4096:
-                _COMPILED.clear()
-            names = ast.free_vars(x)
-            hit = _COMPILED[id(x)] = (x, compile(x, names), names)
-        return hit[1], tuple([self.lookup(scope_id, n) for n in hit[2]])
-
-    def add_constraint(self, scope_id, c, env=None):
+    def add_constraint(self, c, env):
         """Tell-mode: meet the store with a constraint, a code from
-        `compile_constraint` over env or, with no env, a syntax-tree
-        constraint resolved in scope_id."""
-        if env is None:
-            c, env = self._compiled(scope_id, c)
+        `compile_constraint` over env."""
         if c[0] == STREAM:
             self._unify(env[c[1]], c[2], env)
         elif c[0] == LIN:
@@ -645,13 +596,11 @@ class Store:
             else:
                 self._add_row(row(c[1], *resolved))
 
-    def entails(self, scope_id, c, env=None):
+    def entails(self, c, env):
         """Ask-mode: is the constraint, given as to `add_constraint`,
         entailed? Pure - never allocates."""
         if self.step_false or self.lin.empty:
             return True
-        if env is None:
-            c, env = self._compiled(scope_id, c)
         if c[0] == STREAM:
             return self._entailed(env[c[1]], c[2], env)
         if c[0] == LIN:
@@ -718,23 +667,14 @@ class Store:
                 "dims": self.lin.dims}
 
     def dump(self, memo=None):
-        """The store as `docs/trace.md` describes it; a slot that only a
-        sibling snapshot allocated is rendered as null. Given a `DumpMemo`,
-        the same document as compact JSON text, which encodes again only
-        the slots that changed since the memo's previous dump."""
+        """The store as `docs/trace.md` describes it, as compact JSON text;
+        a slot that only a sibling snapshot allocated is rendered as null.
+        Kept across dumps, a `DumpMemo` encodes again only the slots that
+        changed since its previous dump."""
+        memo = memo or DumpMemo()
         cells, nodes = self._view()
         scopes = _overlaid(self.base.scopes, nodes, self.n_nodes)
         memory = _overlaid(self.base.memory, cells, self.n_cells)
-        if memo is None:
-            return {
-                "consistent": self.is_consistent(),
-                "nodes": self.n_nodes,
-                "registers": self.n_cells,
-                "dims": self.lin.dims,
-                "scopes": [_node_doc(node) for node in scopes],
-                "memory": [_cell_doc(cell) for cell in memory],
-                "lin": dump_lin(self.lin),
-            }
         return ('{"consistent":%s,"nodes":%d,"registers":%d,"dims":%d,'
                 '"scopes":[%s],"memory":[%s],"lin":[%s]}' % (
                     "true" if self.is_consistent() else "false",

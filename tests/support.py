@@ -15,8 +15,69 @@ from pathlib import Path
 import tccp
 from tccp import ast
 from tccp.linear import (
-    FALSE_ROW, ls_add, ls_entails, ls_grow, ls_meet, ls_new, row,
+    FALSE_ROW, dump_lin, ls_add, ls_entails, ls_grow, ls_meet, ls_new, row,
 )
+from tccp.store import (
+    _CELL_FIELD, _cell_arg, _overlaid, compile_actual, compile_constraint,
+)
+
+
+# ------------------------ the store from syntax trees; its dump as a dict
+
+def _code(st, scope, x, compile):
+    """x compiled over its free names, and their registers in scope."""
+    names = ast.free_vars(x)
+    code = compile(x, {name: i for i, name in enumerate(names)})
+    return code, tuple([st.lookup(scope, name) for name in names])
+
+
+def tell(st, scope, c):
+    """Tell st the syntax-tree constraint c, its names looked up in scope."""
+    st.add_constraint(*_code(st, scope, c, compile_constraint))
+
+
+def ask(st, scope, c):
+    """Does st entail the syntax-tree constraint c, read in scope?"""
+    return st.entails(*_code(st, scope, c, compile_constraint))
+
+
+def actual(st, a, scope):
+    """The register of a formal whose actual, read in scope, is a."""
+    return st.actual_cell(*_code(st, scope, a, compile_actual))
+
+
+def _cell_doc(cell):
+    if cell is None:
+        return None
+    field = _CELL_FIELD[cell[0]]
+    if field is None:
+        return {"kind": cell[0]}
+    return {"kind": cell[0], field: _cell_arg(cell)}
+
+
+def _node_doc(node):
+    if node is None:
+        return None
+    return {"id": node.id, "parent": node.parent, "kind": node.kind,
+            "label": node.label, "symbols": dict(node.symbols)}
+
+
+def dump_doc(st):
+    """The document that `st.dump()` writes as text, built as a dict: the
+    reference that the text is held equal to. A slot that only a sibling
+    snapshot allocated is None."""
+    cells, nodes = st._view()
+    return {
+        "consistent": st.is_consistent(),
+        "nodes": st.n_nodes,
+        "registers": st.n_cells,
+        "dims": st.lin.dims,
+        "scopes": [_node_doc(node) for node in
+                   _overlaid(st.base.scopes, nodes, st.n_nodes)],
+        "memory": [_cell_doc(cell) for cell in
+                   _overlaid(st.base.memory, cells, st.n_cells)],
+        "lin": dump_lin(st.lin),
+    }
 
 
 # ------------------------------------------------------- FM feasibility
@@ -459,7 +520,7 @@ def machine_observables(trace, probes):
     out = []
     for el in trace:
         out.append((el.clock, el.status, el.store.is_consistent(),
-                    tuple(el.store.entails(0, c) for c in probes)))
+                    tuple(ask(el.store, 0, c) for c in probes)))
     return out
 
 
@@ -550,16 +611,16 @@ def check_parameter_law(rng, n_setups):
         st = Store.new(["V", "W"])
         pre = rng.choice(caller_tells)
         if pre is not None:
-            st.add_constraint(0, pre)
-        nid = st.add_scope(PROC_CALL, 0, {"F": st.actual_cell(ast.Var("V"), 0)},
+            tell(st, 0, pre)
+        nid = st.add_scope(PROC_CALL, 0, {"F": actual(st, ast.Var("V"), 0)},
                            label="p")
         for pf, pv in zip(probes_for("F"), probes_for("V")):
-            assert st.entails(nid, pf) == st.entails(0, pv), (i, pf)
+            assert ask(st, nid, pf) == ask(st, 0, pv), (i, pf)
         post = rng.choice(callee_tells)
         if post is not None:
-            st.add_constraint(nid, post)
+            tell(st, nid, post)
         for pf, pv in zip(probes_for("F"), probes_for("V")):
-            assert st.entails(nid, pf) == st.entails(0, pv), (i, pf, post)
+            assert ask(st, nid, pf) == ask(st, 0, pv), (i, pf, post)
     return n_setups
 
 

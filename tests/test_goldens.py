@@ -12,6 +12,7 @@ import pytest
 
 from tccp.interp import run
 from tccp.parser import parse_program
+from support import dump_doc
 
 UNB = {"kind": "unbound"}
 
@@ -152,7 +153,7 @@ def compare_golden(name):
     trace = run(load(name), 5)
     assert [el.status for el in trace] == expected["statuses"]
     assert [list(el.agents) for el in trace] == expected["agents"]
-    assert [el.store.dump() for el in trace] == expected["dumps"]
+    assert [dump_doc(el.store) for el in trace] == expected["dumps"]
 
 
 @pytest.mark.parametrize("name", sorted(GOLDENS))

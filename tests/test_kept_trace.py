@@ -20,7 +20,7 @@ from tccp.cli import _jsonl_line
 from tccp.interp import ChoicePolicy, run
 from tccp.parser import parse_program
 from tccp.store import DumpMemo
-from support import FRACTIONAL, SPECIALISED, ProgramGen
+from support import FRACTIONAL, SPECIALISED, ProgramGen, dump_doc
 
 # _jsonl_line reads `json`, which tccp.cli binds on first use, as main does
 getattr(cli, "json")
@@ -59,7 +59,7 @@ def reference_selection(trace, every):
 
 def observed(trace):
     return [(el.clock, el.status, el.agents,
-             json.dumps(el.store.dump(), sort_keys=True)) for el in trace]
+             json.dumps(dump_doc(el.store), sort_keys=True)) for el in trace]
 
 
 def policy_of(kind, i):
@@ -118,10 +118,10 @@ class TestSnapshotsStayPut:
 
         def step(config, policy, rng):
             if config.clock not in eager:
-                eager[config.clock] = config.store.dump()
+                eager[config.clock] = dump_doc(config.store)
             moved, new = real_step(config, policy, rng)
             if moved:
-                eager[new.clock] = new.store.dump()
+                eager[new.clock] = dump_doc(new.store)
             return moved, new
 
         monkeypatch.setattr(interp, "step", step)
@@ -129,11 +129,11 @@ class TestSnapshotsStayPut:
             for i, program in enumerate(generated):
                 eager.clear()
                 for el in run(program, 12, policy=policy_of(kind, i)):
-                    assert el.store.dump() == eager[el.clock], (kind, i)
+                    assert dump_doc(el.store) == eager[el.clock], (kind, i)
 
 
 def compact(store):
-    return json.dumps(store.dump(), separators=(",", ":"))
+    return json.dumps(dump_doc(store), separators=(",", ":"))
 
 
 def test_a_run_memo_renders_each_kept_step_as_a_fresh_dump(generated):

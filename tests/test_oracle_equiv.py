@@ -20,9 +20,10 @@ from tccp import ast
 from tccp.ast import pretty_constraint
 from tccp.interp import ChoicePolicy, run
 from tccp.oracle import o_run
-from tccp.parser import parse_program
+from tccp.parser import parse_constraint, parse_program
 from support import (
-    SPECIALISED, ProgramGen, machine_observables, oracle_observables, probe_set,
+    SPECIALISED, ProgramGen, ask, machine_observables, oracle_observables,
+    probe_set,
 )
 
 PHOTOCOPIER_ENTRY = "initialize(MIdle) || tell(MIdle = 5)"
@@ -73,6 +74,21 @@ class TestGenerated:
             program = parse_program(decls, entry=entry)
             m, o = agree(program, 10, policy=ChoicePolicy("random"), seed=i)
             assert m == o, f"program {i}:\n{decls}\nentry: {entry}"
+
+
+def test_the_innermost_equal_name_wins():
+    """An exists shadows an entry variable, a formal, and an outer exists
+    name: were any X or Y below the outer one, two tells would clash."""
+    program = parse_program(
+        "p(X, Y) :- tell(X = [x | _]) || exists X (tell(X = c)"
+        " || tell(Y = [X | _]) || exists Y, X (tell(X = d) || tell(Y = e))).",
+        entry="p(A, B) || exists A (tell(A = b) || tell(C = [A | _]))")
+    m, o = agree(program, 5)
+    assert m == o
+    final = run(program, 5)[-1]
+    assert final.status == "quiescent"
+    for c in ("A = [x | _]", "B = [c | _]", "C = [b | _]"):
+        assert ask(final.store, 0, parse_constraint(c)), c
 
 
 @pytest.fixture(scope="module")

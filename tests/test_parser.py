@@ -224,9 +224,12 @@ class TestPrograms:
         assert (e.value.expected, e.value.got) == (1, 2)
 
     def test_body_variables_must_be_bound(self):
-        with pytest.raises(UnboundVariableError) as e:
-            parse_program("p(X) :- tell(Y = a).")
-        assert e.value.name == "Y"
+        # call actuals too: no unbound name reaches the simulator
+        for text in ("p(X) :- tell(Y = a).", "p(X) :- skip.\nq :- p(Y).",
+                     "p(X) :- skip.\nq :- p(Y + 1)."):
+            with pytest.raises(UnboundVariableError) as e:
+                parse_program(text)
+            assert e.value.name == "Y", text
         parse_program("p(X) :- exists Y (tell(Y = a)).")  # fine
 
     def test_entry_vars_in_first_occurrence_order(self):

@@ -10,10 +10,12 @@ import pytest
 from hypothesis import given, settings, strategies as strat
 
 from tccp import ast
-from tccp.errors import UnboundActualError, UnknownSymbolError
+from tccp.errors import UnknownSymbolError
 from tccp.parser import parse_constraint
 from tccp.store import DumpMemo, EXISTS, PROC_CALL, Store, UNBOUND
-from support import check_parameter_law, replay_merge
+from support import (
+    actual, ask, check_parameter_law, dump_doc, replay_merge, tell,
+)
 
 
 def C(text):
@@ -49,7 +51,7 @@ class TestScopes:
     def test_call_boundary_hides_caller_names(self):
         st = Store.new(["X"])
         call = st.add_scope(PROC_CALL, 0,
-                            {"F": st.actual_cell(ast.Var("X"), 0)}, label="p")
+                            {"F": actual(st, ast.Var("X"), 0)}, label="p")
         with pytest.raises(UnknownSymbolError):
             st.lookup(call, "X")
         # locals under the call node still see the formals
@@ -68,15 +70,15 @@ class TestParameters:
     def test_var_actual_shares_the_cell(self):
         st = Store.new(["X"])
         before = st.counts()["registers"]
-        call = st.add_scope(PROC_CALL, 0, {"F": st.actual_cell(ast.Var("X"), 0)})
+        call = st.add_scope(PROC_CALL, 0, {"F": actual(st, ast.Var("X"), 0)})
         assert st.lookup(call, "F") == st.lookup(0, "X")
         assert st.counts()["registers"] == before
 
     def test_atom_and_num_actuals_cost_one_cell_each(self):
         st = Store.new()
         call = st.add_scope(PROC_CALL, 0, {
-            "A": st.actual_cell(ast.Atom("on"), 0),
-            "N": st.actual_cell(ast.Num(Fraction(7)), 0)})
+            "A": actual(st, ast.Atom("on"), 0),
+            "N": actual(st, ast.Num(Fraction(7)), 0)})
         assert st.counts()["registers"] == 2
         assert st.memory[st.lookup(call, "A")] == ("const", "on")
         assert st.memory[st.lookup(call, "N")] == ("const", Fraction(7))
@@ -84,22 +86,17 @@ class TestParameters:
     def test_expression_actual_adds_dim_cell_and_row(self):
         st = Store.new(["Y"])
         e = ast.LinExpr.of_var("Y") + ast.LinExpr.of_num(Fraction(1))
-        call = st.add_scope(PROC_CALL, 0, {"F": st.actual_cell(e, 0)})
+        call = st.add_scope(PROC_CALL, 0, {"F": actual(st, e, 0)})
         # Y picked up dim 0, the formal dim 1, linked by one equation
         assert st.counts()["dims"] == 2
-        assert st.entails(0, C("Y = 3")) is False
-        st.add_constraint(0, C("Y = 3"))
-        assert st.entails(call, C("F = 4"))
-
-    def test_unknown_var_actual_raises(self):
-        st = Store.new()
-        with pytest.raises(UnboundActualError):
-            st.actual_cell(ast.Var("X"), 0)
+        assert ask(st, 0, C("Y = 3")) is False
+        tell(st, 0, C("Y = 3"))
+        assert ask(st, call, C("F = 4"))
 
     def test_stream_valued_expression_actual_is_a_clash(self):
         st = Store.new(["X"])
-        st.add_constraint(0, C("X = a"))
-        st.actual_cell(ast.LinExpr.of_var("X"), 0)
+        tell(st, 0, C("X = a"))
+        actual(st, ast.LinExpr.of_var("X"), 0)
         assert not st.is_consistent()
 
 
@@ -109,80 +106,80 @@ class TestTell:
     def test_cons_onto_unbound_costs_two_cells(self):
         st = Store.new(["X", "T"])
         before = st.counts()["registers"]
-        st.add_constraint(0, C("X = [a | T]"))
+        tell(st, 0, C("X = [a | T]"))
         assert st.counts()["registers"] == before + 2
         assert st.memory[st.lookup(0, "X")][0] == "functor"
 
     def test_anonymous_positions_allocate_nothing_extra(self):
         st = Store.new(["X"])
         before = st.counts()["registers"]
-        st.add_constraint(0, C("X = [_ | _]"))
+        tell(st, 0, C("X = [_ | _]"))
         assert st.counts()["registers"] == before + 2
 
     def test_telling_deeper_extends_in_place(self):
         st = Store.new(["X", "T"])
-        st.add_constraint(0, C("X = [a | T]"))
+        tell(st, 0, C("X = [a | T]"))
         before = st.counts()["registers"]
-        st.add_constraint(0, C("T = [b | _]"))
+        tell(st, 0, C("T = [b | _]"))
         assert st.counts()["registers"] == before + 2
-        assert st.entails(0, C("X = [a | [b | _]]"))
+        assert ask(st, 0, C("X = [a | [b | _]]"))
 
     def test_repeated_tell_is_idempotent(self):
         st = Store.new(["X", "T"])
-        st.add_constraint(0, C("X = [a | T]"))
-        snap = json.dumps(st.dump(), sort_keys=True)
-        st.add_constraint(0, C("X = [a | T]"))
-        assert json.dumps(st.dump(), sort_keys=True) == snap
+        tell(st, 0, C("X = [a | T]"))
+        snap = json.dumps(dump_doc(st), sort_keys=True)
+        tell(st, 0, C("X = [a | T]"))
+        assert json.dumps(dump_doc(st), sort_keys=True) == snap
 
     def test_atom_clash_latches_false(self):
         st = Store.new(["X"])
-        st.add_constraint(0, C("X = a"))
+        tell(st, 0, C("X = a"))
         assert st.is_consistent()
-        st.add_constraint(0, C("X = b"))
+        tell(st, 0, C("X = b"))
         assert not st.is_consistent()
 
     def test_atom_vs_number_clash(self):
         st = Store.new(["X", "Y"])
-        st.add_constraint(0, C("X = a"))
-        st.add_constraint(0, C("Y = [1 | _]"))
-        st.add_constraint(0, ast.StreamEq("Y", ast.Cons(ast.Var("X"), ast.Anon())))
+        tell(st, 0, C("X = a"))
+        tell(st, 0, C("Y = [1 | _]"))
+        tell(st, 0, ast.StreamEq("Y", ast.Cons(ast.Var("X"), ast.Anon())))
         assert not st.is_consistent()
 
     def test_structure_vs_numeric_clash(self):
         st = Store.new(["X"])
-        st.add_constraint(0, C("X = 3"))
-        st.add_constraint(0, C("X = [a | _]"))
+        tell(st, 0, C("X = 3"))
+        tell(st, 0, C("X = [a | _]"))
         assert not st.is_consistent()
 
     def test_linear_tell_with_stream_var_is_a_clash(self):
         st = Store.new(["X"])
-        st.add_constraint(0, C("X = a"))
-        st.add_constraint(0, C("X > 0"))
+        tell(st, 0, C("X = a"))
+        tell(st, 0, C("X > 0"))
         assert not st.is_consistent()
 
     def test_occurs_in_one_tell(self):
         st = Store.new(["X"])
-        st.add_constraint(0, ast.StreamEq("X", ast.Cons(ast.Atom("a"), ast.Var("X"))))
+        tell(st, 0, ast.StreamEq("X", ast.Cons(ast.Atom("a"), ast.Var("X"))))
         assert not st.is_consistent()
 
     def test_occurs_across_two_tells(self):
         st = Store.new(["X", "Y"])
-        st.add_constraint(0, C("X = [a | Y]"))
-        st.add_constraint(0, C("Y = [b | X]"))
+        tell(st, 0, C("X = [a | Y]"))
+        tell(st, 0, C("Y = [b | X]"))
         assert not st.is_consistent()
 
     def test_var_var_aliasing(self):
         st = Store.new(["X", "Y"])
-        st.add_constraint(0, C("X = Y"))
-        st.add_constraint(0, C("Y = on"))
-        assert st.entails(0, C("X = on"))
+        tell(st, 0, C("X = Y"))
+        tell(st, 0, C("Y = on"))
+        assert ask(st, 0, C("X = on"))
 
     def test_number_heads_meet_the_linear_store(self):
         st = Store.new(["X", "N"])
-        st.add_constraint(0, C("N = 4"))
-        st.add_constraint(0, ast.StreamEq("X", ast.Cons(ast.Var("N"), ast.Anon())))
-        assert st.entails(0, C("X = [4 | _]"))
-        assert not st.entails(0, C("X = [5 | _]"))
+        tell(st, 0, C("N = 4"))
+        tell(st, 0, ast.StreamEq("X", ast.Cons(ast.Var("N"), ast.Anon())))
+        assert ask(st, 0, C("X = [4 | _]"))
+        assert not ask(st, 0, C("X = [5 | _]"))
 
 
 # ------------------------------------------------------------------- asks
@@ -190,63 +187,63 @@ class TestTell:
 class TestEntails:
     def test_ask_is_negation_as_absence(self):
         st = Store.new(["X", "Y"])
-        assert not st.entails(0, C("X = a"))
-        assert not st.entails(0, C("X = Y"))
-        assert not st.entails(0, C("X > 0"))
-        assert st.entails(0, C("true"))
+        assert not ask(st, 0, C("X = a"))
+        assert not ask(st, 0, C("X = Y"))
+        assert not ask(st, 0, C("X > 0"))
+        assert ask(st, 0, C("true"))
 
     def test_anonymous_pattern_always_matches(self):
         st = Store.new(["X"])
-        assert st.entails(0, C("X = _"))
+        assert ask(st, 0, C("X = _"))
 
     def test_prefix_patterns(self):
         st = Store.new(["X", "T"])
-        st.add_constraint(0, C("X = [on | T]"))
-        assert st.entails(0, C("X = [on | _]"))
-        assert st.entails(0, ast.StreamEq("X", ast.Cons(ast.Atom("on"), ast.Var("T"))))
-        assert not st.entails(0, C("X = [off | _]"))
-        assert not st.entails(0, C("X = [on | [a | _]]"))
+        tell(st, 0, C("X = [on | T]"))
+        assert ask(st, 0, C("X = [on | _]"))
+        assert ask(st, 0, ast.StreamEq("X", ast.Cons(ast.Atom("on"), ast.Var("T"))))
+        assert not ask(st, 0, C("X = [off | _]"))
+        assert not ask(st, 0, C("X = [on | [a | _]]"))
 
     def test_unbound_tail_matches_nothing_but_anon(self):
         st = Store.new(["X", "T", "Z"])
-        st.add_constraint(0, C("X = [on | T]"))
-        assert not st.entails(0, ast.StreamEq("X", ast.Cons(ast.Atom("on"), ast.Var("Z"))))
+        tell(st, 0, C("X = [on | T]"))
+        assert not ask(st, 0, ast.StreamEq("X", ast.Cons(ast.Atom("on"), ast.Var("Z"))))
 
     def test_linear_asks_use_entailment(self):
         st = Store.new(["X"])
-        st.add_constraint(0, C("X = 5"))
-        assert st.entails(0, C("X > 0"))
-        assert st.entails(0, C("X = 5"))
-        assert not st.entails(0, C("X = 6"))
-        assert not st.entails(0, C("X < 5"))
+        tell(st, 0, C("X = 5"))
+        assert ask(st, 0, C("X > 0"))
+        assert ask(st, 0, C("X = 5"))
+        assert not ask(st, 0, C("X = 6"))
+        assert not ask(st, 0, C("X < 5"))
 
     def test_inconsistent_store_entails_everything(self):
         st = Store.new(["X"])
-        st.add_constraint(0, C("X = a"))
-        st.add_constraint(0, C("X = b"))
-        assert st.entails(0, C("X = c"))
-        assert st.entails(0, C("X > 100"))
+        tell(st, 0, C("X = a"))
+        tell(st, 0, C("X = b"))
+        assert ask(st, 0, C("X = c"))
+        assert ask(st, 0, C("X > 100"))
 
     def test_entails_is_pure(self):
         st = Store.new(["X", "Y", "T"])
-        st.add_constraint(0, C("X = [on | T]"))
-        st.add_constraint(0, C("Y = 3"))
-        before = json.dumps(st.dump(), sort_keys=True)
+        tell(st, 0, C("X = [on | T]"))
+        tell(st, 0, C("Y = 3"))
+        before = json.dumps(dump_doc(st), sort_keys=True)
         counters = (st.base.next_cell, st.base.next_node, st.base.next_dim)
         for probe in ("X = [on | _]", "X = [off | _]", "Y > 1", "Y = 9",
                       "T = a", "X = Y", "Z' + Y = 3"):
             try:
-                st.entails(0, C(probe))
+                ask(st, 0, C(probe))
             except UnknownSymbolError:
                 pass
-        assert json.dumps(st.dump(), sort_keys=True) == before
+        assert json.dumps(dump_doc(st), sort_keys=True) == before
         assert (st.base.next_cell, st.base.next_node, st.base.next_dim) == counters
 
     def test_rational_values_round_trip_in_dump(self):
         st = Store.new()
         call = st.add_scope(PROC_CALL, 0,
-                            {"F": st.actual_cell(ast.Num(Fraction(1, 2)), 0)})
-        cell = st.dump()["memory"][st.lookup(call, "F")]
+                            {"F": actual(st, ast.Num(Fraction(1, 2)), 0)})
+        cell = dump_doc(st)["memory"][st.lookup(call, "F")]
         assert cell == {"kind": "const", "value": "1/2"}
 
 
@@ -256,52 +253,52 @@ class TestSnapshots:
     def test_branch_writes_stay_local(self):
         base = Store.new(["X"])
         snap = base.branch()
-        snap.add_constraint(0, C("X = a"))
-        assert snap.entails(0, C("X = a"))
-        assert not base.entails(0, C("X = a"))
+        tell(snap, 0, C("X = a"))
+        assert ask(snap, 0, C("X = a"))
+        assert not ask(base, 0, C("X = a"))
 
     def test_merge_publishes_the_writes(self):
         base = Store.new(["X", "Y"])
         s1, s2 = base.branch(), base.branch()
-        s1.add_constraint(0, C("X = [a | _]"))
-        s2.add_constraint(0, C("Y = 2"))
+        tell(s1, 0, C("X = [a | _]"))
+        tell(s2, 0, C("Y = 2"))
         out = Store.merge(base, [s1, s2])
-        assert out.entails(0, C("X = [a | _]"))
-        assert out.entails(0, C("Y = 2"))
-        assert not base.entails(0, C("Y = 2"))
+        assert ask(out, 0, C("X = [a | _]"))
+        assert ask(out, 0, C("Y = 2"))
+        assert not ask(base, 0, C("Y = 2"))
 
     def test_sibling_atom_clash_latches(self):
         base = Store.new(["X"])
         s1, s2 = base.branch(), base.branch()
-        s1.add_constraint(0, C("X = a"))
-        s2.add_constraint(0, C("X = b"))
+        tell(s1, 0, C("X = a"))
+        tell(s2, 0, C("X = b"))
         assert s1.is_consistent() and s2.is_consistent()
         assert not Store.merge(base, [s1, s2]).is_consistent()
 
     def test_sibling_agreement_is_no_clash(self):
         base = Store.new(["X"])
         s1, s2 = base.branch(), base.branch()
-        s1.add_constraint(0, C("X = a"))
-        s2.add_constraint(0, C("X = a"))
+        tell(s1, 0, C("X = a"))
+        tell(s2, 0, C("X = a"))
         out = Store.merge(base, [s1, s2])
-        assert out.is_consistent() and out.entails(0, C("X = a"))
+        assert out.is_consistent() and ask(out, 0, C("X = a"))
 
     def test_sibling_streams_merge_pointwise(self):
         base = Store.new(["X", "T"])
         s1, s2 = base.branch(), base.branch()
-        s1.add_constraint(0, C("X = [a | T]"))
-        s2.add_constraint(0, C("X = [_ | [b | _]]"))
+        tell(s1, 0, C("X = [a | T]"))
+        tell(s2, 0, C("X = [_ | [b | _]]"))
         out = Store.merge(base, [s1, s2])
         assert out.is_consistent()
-        assert out.entails(0, C("X = [a | [b | _]]"))
-        assert out.entails(0, C("T = [b | _]"))
+        assert ask(out, 0, C("X = [a | [b | _]]"))
+        assert ask(out, 0, C("T = [b | _]"))
 
     def test_cross_snapshot_cycle_is_inconsistent_in_both_orders(self):
         for flip in (False, True):
             base = Store.new(["X", "Y"])
             s1, s2 = base.branch(), base.branch()
-            s1.add_constraint(0, C("X = [a | Y]"))
-            s2.add_constraint(0, C("Y = [b | X]"))
+            tell(s1, 0, C("X = [a | Y]"))
+            tell(s2, 0, C("Y = [b | X]"))
             snaps = [s2, s1] if flip else [s1, s2]
             assert not Store.merge(base, snaps).is_consistent()
 
@@ -317,61 +314,61 @@ class TestSnapshots:
             snaps = []
             for text in picked:
                 s = base.branch()
-                s.add_constraint(0, C(text))
+                tell(s, 0, C(text))
                 snaps.append(s)
             fwd = Store.merge(base, snaps)
             rev = Store.merge(base, list(reversed(snaps)))
             assert fwd.is_consistent() == rev.is_consistent()
             for p in probes:
-                assert fwd.entails(0, C(p)) == rev.entails(0, C(p)), (picked, p)
+                assert ask(fwd, 0, C(p)) == ask(rev, 0, C(p)), (picked, p)
 
     def test_nested_merge_keeps_inner_writes(self):
         base = Store.new(["X", "Y"])
         mid = base.branch()
-        mid.add_constraint(0, C("X = [a | _]"))
+        tell(mid, 0, C("X = [a | _]"))
         inner1, inner2 = mid.branch(), mid.branch()
-        inner1.add_constraint(0, C("Y = 1"))
-        inner2.add_constraint(0, C("X = [_ | [b | _]]"))
+        tell(inner1, 0, C("Y = 1"))
+        tell(inner2, 0, C("X = [_ | [b | _]]"))
         merged_mid = Store.merge(mid, [inner1, inner2])
         out = Store.merge(base, [merged_mid])
-        assert out.entails(0, C("X = [a | [b | _]]"))
-        assert out.entails(0, C("Y = 1"))
+        assert ask(out, 0, C("X = [a | [b | _]]"))
+        assert ask(out, 0, C("Y = 1"))
 
     def test_scope_growth_survives_a_sibling_clash(self):
         base = Store.new(["X"])
         s1, s2 = base.branch(), base.branch()
         nid = s1.add_scope(EXISTS, 0, {"L": s1.new_cell()})
-        s1.add_constraint(nid, C("L = on"))
-        s2.add_constraint(0, C("X = a"))
-        s2.add_constraint(0, C("X = b"))
+        tell(s1, nid, C("L = on"))
+        tell(s2, 0, C("X = a"))
+        tell(s2, 0, C("X = b"))
         out = Store.merge(base, [s1, s2])
         assert not out.is_consistent()
         assert out.scopes[nid].kind == "exists"
-        assert out.entails(nid, C("L = on"))  # trivially, by inconsistency
+        assert ask(out, nid, C("L = on"))  # trivially, by inconsistency
 
     def test_seal_forgets_the_log_only(self):
         base = Store.new(["X"])
         snap = base.branch()
-        snap.add_constraint(0, C("X = a"))
+        tell(snap, 0, C("X = a"))
         out = Store.merge(base, [snap]).seal()
         assert out.write_log == {} and out.node_log == {}
-        assert out.entails(0, C("X = a"))
+        assert ask(out, 0, C("X = a"))
 
     def test_merge_tells_each_new_row_once_at_the_widest_dims(self):
         base = Store.new(["X", "Y", "Z"])
-        base.add_constraint(0, C("Z >= 0"))  # Z gets dimension 0
-        base.add_constraint(0, C("X = Y"))
+        tell(base, 0, C("Z >= 0"))  # Z gets dimension 0
+        tell(base, 0, C("X = Y"))
         widened, same1, same2, idle = snaps = [base.branch() for _ in range(4)]
         for s in (same1, same2):
-            s.add_constraint(0, C("Z <= 5"))
-        widened.add_constraint(0, C("X + 1 = Y + 1"))  # a dimension, no row
+            tell(s, 0, C("Z <= 5"))
+        tell(widened, 0, C("X + 1 = Y + 1"))  # a dimension, no row
         assert widened.lin.rows == base.lin.rows
         assert widened.lin.dims == 2 and same1.lin.dims == 1
         (told,) = same1.lin.rows[len(base.lin.rows):]
         out = Store.merge(base, snaps)
         assert out.lin.rows == base.lin.rows + (told,)
         assert out.counts()["dims"] == 2
-        assert out.entails(0, C("Z <= 5")) and out.entails(0, C("X = Y"))
+        assert ask(out, 0, C("Z <= 5")) and ask(out, 0, C("X = Y"))
 
 
 # ------------------------------------------------- snapshot isolation
@@ -379,14 +376,14 @@ class TestSnapshots:
 def grow(st, tag):
     """Tell cells, add a scope with variables and a call with parameters."""
     a = tag == "a"
-    st.add_constraint(0, C("X = [a | _]" if a else "X = [_ | [b | _]]"))
-    st.add_constraint(0, C("Y = 2" if a else "Y > 1"))
+    tell(st, 0, C("X = [a | _]" if a else "X = [_ | [b | _]]"))
+    tell(st, 0, C("Y = 2" if a else "Y > 1"))
     nid = st.add_scope(EXISTS, 0, {name: st.new_cell() for name in "LM"})
-    st.add_constraint(nid, C(f"L = [{tag} | M]"))
-    st.add_constraint(nid, C("M = N + 1" if a else "M = off"))
+    tell(st, nid, C(f"L = [{tag} | M]"))
+    tell(st, nid, C("M = N + 1" if a else "M = off"))
     st.add_scope(PROC_CALL, 0, {
-        "F": st.actual_cell(ast.Var("X"), 0),
-        "G": st.actual_cell(parse_constraint("Z = Y + 3").lhs, 0),
+        "F": actual(st, ast.Var("X"), 0),
+        "G": actual(st, parse_constraint("Z = Y + 3").lhs, 0),
     }, label=f"p_{tag}")
 
 
@@ -401,7 +398,7 @@ def branch_and_tell_bytes(base, c):
     try:
         before = tracemalloc.get_traced_memory()[0]
         snap = base.branch()
-        snap.add_constraint(0, c)
+        tell(snap, 0, c)
         return tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
@@ -413,12 +410,12 @@ class TestCopyOnWrite:
 
     def test_an_asking_branch_copies_nothing(self):
         base = Store.new(["X"])
-        base_dump = base.dump()
+        base_dump = dump_doc(base)
         snap = base.branch()
-        assert not snap.entails(0, C("X = a"))
-        snap.add_constraint(0, C("X = a"))
-        assert snap.entails(0, C("X = a"))
-        assert base.dump() == base_dump
+        assert not ask(snap, 0, C("X = a"))
+        tell(snap, 0, C("X = a"))
+        assert ask(snap, 0, C("X = a"))
+        assert dump_doc(base) == base_dump
 
     def test_a_branch_allocates_nothing_that_grows_with_its_base(self):
         c = C("X = a")
@@ -445,58 +442,58 @@ class TestCopyOnWrite:
 
     def test_siblings_and_merge_leave_every_snapshot_as_it_was(self):
         base = Store.new(["X", "Y", "Z", "N"])
-        base_dump = base.dump()
+        base_dump = dump_doc(base)
         s1, s2 = base.branch(), base.branch()
         grow(s1, "a")
-        s1_dump = s1.dump()
-        assert base.dump() == base_dump
+        s1_dump = dump_doc(s1)
+        assert dump_doc(base) == base_dump
         grow(s2, "b")
-        s2_dump = s2.dump()
-        assert base.dump() == base_dump and s1.dump() == s1_dump
+        s2_dump = dump_doc(s2)
+        assert dump_doc(base) == base_dump and dump_doc(s1) == s1_dump
         assert s1_dump != s2_dump != base_dump
         for snaps in ([s1, s2], [s2, s1]):
             out = Store.merge(base, snaps)
             assert out.is_consistent()
-            assert out.entails(0, C("X = [a | [b | _]]"))
-            assert base.dump() == base_dump
-            assert s1.dump() == s1_dump and s2.dump() == s2_dump
+            assert ask(out, 0, C("X = [a | [b | _]]"))
+            assert dump_doc(base) == base_dump
+            assert dump_doc(s1) == s1_dump and dump_doc(s2) == s2_dump
 
     def test_writes_after_a_branch_stay_on_their_side(self):
         base = Store.new(["X", "Y"])
         snap = base.branch()
         # the parent writes last
         base.add_scope(EXISTS, 0, {"L": base.new_cell()})
-        base.add_constraint(0, C("X = a"))
-        assert not snap.entails(0, C("X = a"))
+        tell(base, 0, C("X = a"))
+        assert not ask(snap, 0, C("X = a"))
         assert snap.counts() == {"nodes": 1, "registers": 2, "dims": 0}
         mid = snap.branch()
         inner = mid.branch()
-        mid.add_constraint(0, C("Y = b"))
-        assert not inner.entails(0, C("Y = b"))
+        tell(mid, 0, C("Y = b"))
+        assert not ask(inner, 0, C("Y = b"))
 
     def test_a_node_added_on_a_branch_stays_off_its_base(self):
         b = Store.new(["X"])
-        b_dump = b.dump()
+        b_dump = dump_doc(b)
         s = b.branch()
         nid = s.add_scope(EXISTS, 0, {"Q": s.new_cell()})
-        assert b.dump() == b_dump
+        assert dump_doc(b) == b_dump
         assert b.counts() == {"nodes": 1, "registers": 1, "dims": 0}
         out = Store.merge(b, [s])
-        assert out.dump()["scopes"][nid]["symbols"] == {"Q": 1}
+        assert dump_doc(out)["scopes"][nid]["symbols"] == {"Q": 1}
         assert out.lookup(nid, "X") == 0
-        assert b.dump() == b_dump
+        assert dump_doc(b) == b_dump
 
     def test_a_slot_a_sibling_allocated_dumps_as_null(self):
         base = Store.new(["X"])
         s1, s2 = base.branch(), base.branch()
         n1 = s1.add_scope(EXISTS, 0, {"L": s1.new_cell()})
         n2 = s2.add_scope(EXISTS, 0, {"M": s2.new_cell()})
-        d = s2.dump()
+        d = dump_doc(s2)
         assert d["scopes"][n1] is None
         assert d["memory"][s1.lookup(n1, "L")] is None
         assert d["scopes"][n2]["symbols"] == {"M": s2.lookup(n2, "M")}
         for st in (s1, s2):
-            d, counts = st.dump(), st.counts()
+            d, counts = dump_doc(st), st.counts()
             assert (d["nodes"], d["registers"], d["dims"]) == \
                 (counts["nodes"], counts["registers"], counts["dims"])
             assert (len(d["scopes"]), len(d["memory"])) == \
@@ -505,26 +502,26 @@ class TestCopyOnWrite:
     def test_a_frozen_copy_outlives_the_next_seal(self):
         base = Store.new(["X"]).seal()
         kept = base.frozen()
-        kept_dump = kept.dump()
+        kept_dump = dump_doc(kept)
         snap = base.branch()
         nid = snap.add_scope(EXISTS, 0, {"Q": snap.new_cell()})
-        snap.add_constraint(nid, C("X = [a | Q]"))
+        tell(snap, nid, C("X = [a | Q]"))
         out = Store.merge(base, [snap]).seal()
-        assert out.entails(0, C("X = [a | _]"))
-        assert out.dump()["scopes"][nid]["symbols"] == {"Q": 1}
-        assert kept.dump() == kept_dump
-        assert not kept.entails(0, C("X = [a | _]"))
+        assert ask(out, 0, C("X = [a | _]"))
+        assert dump_doc(out)["scopes"][nid]["symbols"] == {"Q": 1}
+        assert dump_doc(kept) == kept_dump
+        assert not ask(kept, 0, C("X = [a | _]"))
 
     def test_a_merge_that_shares_its_base_copies_before_writing(self):
         base = Store.new(["X"])
         snap = base.branch()
-        snap.entails(0, C("X = a"))
+        ask(snap, 0, C("X = a"))
         out = Store.merge(base, [snap])
-        base_dump = base.dump()
-        out.add_constraint(0, C("X = a"))
+        base_dump = dump_doc(base)
+        tell(out, 0, C("X = a"))
         out.add_scope(EXISTS, 0, {})
-        assert base.dump() == base_dump
-        assert out.entails(0, C("X = a"))
+        assert dump_doc(base) == base_dump
+        assert ask(out, 0, C("X = a"))
 
 
 # ------------------------------------------------ merge against replay
@@ -539,7 +536,7 @@ def both_ways(build):
         base, snaps = build(merge)
         runs.append((merge(base, snaps), base, snaps))
     (out, _, _), (ref, _, _) = runs
-    assert out.dump() == ref.dump()
+    assert dump_doc(out) == dump_doc(ref)
     assert out.is_consistent() == ref.is_consistent()
     return runs[0]
 
@@ -548,24 +545,24 @@ def a_lone(kind):
     """build(merge) for one writer of the given kind beside an idle one."""
     def build(merge):
         base = Store.new(["X", "Y", "T", "N", "M"])
-        base.add_constraint(0, C("X = [a | T]"))
-        base.add_constraint(0, C("N >= 0"))  # N gets dimension 0
+        tell(base, 0, C("X = [a | T]"))
+        tell(base, 0, C("N >= 0"))  # N gets dimension 0
         idle, snap = base.branch(), base.branch()
-        idle.entails(0, C("X = [a | _]"))
+        ask(idle, 0, C("X = [a | _]"))
         if kind == "step_false":
-            snap.add_constraint(0, C("X = b"))
+            tell(snap, 0, C("X = b"))
         elif kind == "empty_scope":  # a call without formals
             snap.add_scope(PROC_CALL, 0, {}, label="z")
         elif kind == "dims":
-            base.branch().add_constraint(0, C("M = 1"))  # dimension 1, dropped
-            snap.add_constraint(0, C("N + 1 = N + 1"))  # grows, tells no row
+            tell(base.branch(), 0, C("M = 1"))  # dimension 1, dropped
+            tell(snap, 0, C("N + 1 = N + 1"))  # grows, tells no row
         elif kind == "ref_to_own_binding":
             s1, s2 = snap.branch(), snap.branch()
-            s1.add_constraint(0, C("T = a"))
-            s2.add_constraint(0, C("Y = T"))  # Y, older than T, refs T
+            tell(s1, 0, C("T = a"))
+            tell(s2, 0, C("Y = T"))  # Y, older than T, refs T
             snap = merge(snap, [s1, s2])
         else:
-            snap.add_constraint(0, C("T = [b | Y]"))
+            tell(snap, 0, C("T = [b | Y]"))
         return base, [idle, snap]
     return build
 
@@ -584,19 +581,19 @@ class TestMergeWriters:
         if kind == "ref_to_own_binding":
             # replay turns the ref around, so adopting would print another
             # store: the writer's own cells are not the merged ones
-            assert snap.dump()["memory"] != out.dump()["memory"]
+            assert dump_doc(snap)["memory"] != dump_doc(out)["memory"]
         else:
-            assert snap.dump() == out.dump()
+            assert dump_doc(snap) == dump_doc(out)
 
     def test_writes_to_an_adopted_result_stay_off_the_snapshot(self):
         out, base, (idle, snap) = both_ways(a_lone("stream"))
-        dumps = [st.dump() for st in (base, idle, snap)]
-        assert out.dump() == snap.dump()
+        dumps = [dump_doc(st) for st in (base, idle, snap)]
+        assert dump_doc(out) == dump_doc(snap)
         nid = out.add_scope(EXISTS, 0, {"L": out.new_cell()})
-        out.add_constraint(nid, C("Y = [L | _]"))
-        out.add_constraint(0, C("M = 2"))
-        assert [st.dump() for st in (base, idle, snap)] == dumps
-        assert out.entails(0, C("Y = [_ | _]"))
+        tell(out, nid, C("Y = [L | _]"))
+        tell(out, 0, C("M = 2"))
+        assert [dump_doc(st) for st in (base, idle, snap)] == dumps
+        assert ask(out, 0, C("Y = [_ | _]"))
 
     def test_an_idle_merge_keeps_the_base_writes(self):
         base = Store.new(["X"]).seal()
@@ -604,7 +601,7 @@ class TestMergeWriters:
         nid = mid.add_scope(EXISTS, 0, {"L": mid.new_cell()})
         inner = Store.merge(mid, [mid.branch(), mid.branch()])
         out = Store.merge(base, [inner])
-        assert out.dump() == mid.dump()
+        assert dump_doc(out) == dump_doc(mid)
         assert out.lookup(nid, "L") == 1
 
     @settings(max_examples=400, deadline=None)
@@ -618,16 +615,16 @@ class TestMergeWriters:
         def build(merge):
             base = Store.new(["X", "Y", "T", "U", "N", "M"])
             for text in prep:
-                base.add_constraint(0, C(text))
+                tell(base, 0, C(text))
             if sealed:
                 base.seal()
             return base, [run_script(base.branch(), ops, merge)
                           for ops in scripts]
 
         out, base, snaps = both_ways(build)
-        dumps = [st.dump() for st in [base] + snaps]
-        out.add_constraint(0, C("U = [z | _]"))
-        assert [st.dump() for st in [base] + snaps] == dumps
+        dumps = [dump_doc(st) for st in [base] + snaps]
+        tell(out, 0, C("U = [z | _]"))
+        assert [dump_doc(st) for st in [base] + snaps] == dumps
 
 
 TELLS = ["X = Y", "Y = T", "T = U", "X = U", "Y = a", "T = a", "U = b",
@@ -662,10 +659,10 @@ def run_script(st, ops, merge):
     runs each script on its own branch and merges them with `merge`."""
     for op in ops:
         if op[0] == "tell":
-            st.add_constraint(0, C(op[1]))
+            tell(st, 0, C(op[1]))
         elif op[0] == "exists":
             nid = st.add_scope(EXISTS, 0, {"L": st.new_cell()})
-            st.add_constraint(nid, C(op[1]))
+            tell(st, nid, C(op[1]))
         elif op[0] == "call":
             st.add_scope(PROC_CALL, 0, {}, label="z")
         else:
@@ -674,7 +671,7 @@ def run_script(st, ops, merge):
 
 
 def compact(st):
-    return json.dumps(st.dump(), separators=(",", ":"))
+    return json.dumps(dump_doc(st), separators=(",", ":"))
 
 
 class TestDumpMemo:
@@ -690,8 +687,8 @@ class TestDumpMemo:
         before = snap.dump(memo)
         assert before == compact(snap)
         inner = snap.add_scope(EXISTS, nid, {"M": snap.new_cell()})
-        snap.add_constraint(inner, C("L = [a | M]"))
-        snap.add_constraint(0, C("X = Y + 1"))
+        tell(snap, inner, C("L = [a | M]"))
+        tell(snap, 0, C("X = Y + 1"))
         after = snap.dump(memo)
         assert after == compact(snap) != before
         scopes = json.loads(after)["scopes"]
@@ -703,12 +700,21 @@ class TestDumpMemo:
         s1, s2 = base.branch(), base.branch()
         for st, name in ((s1, "L"), (s2, "M")):
             st.add_scope(EXISTS, 0, {name: st.new_cell()})
-            st.add_constraint(0, C(f"X = [{name.lower()} | _]"))
+            tell(st, 0, C(f"X = [{name.lower()} | _]"))
         memo = DumpMemo()
         for st in (s2, s1, s2, base, s1):
             text = st.dump(memo)
             assert text == compact(st)
         assert json.loads(s2.dump(memo))["scopes"][1] is None
+
+    def test_a_dump_without_a_memo_is_the_same_text(self):
+        base = Store.new(["X", "N"])
+        snap = base.branch()
+        nid = snap.add_scope(EXISTS, 0, {"L": snap.new_cell()})
+        tell(snap, nid, C("X = [L | _]"))
+        tell(snap, 0, C("2 * N = 1"))
+        for st in (base, snap):
+            assert st.dump() == compact(st)
 
 
 # ------------------------------------------------------- long streams
@@ -723,9 +729,9 @@ def tell_stream(st, scope, var, values):
                         {f"T{k}": st.new_cell() for k in range(len(values))})
     prev = var
     for k, v in enumerate(values):
-        st.add_constraint(node, C(f"{prev} = [{v} | T{k}]"))
+        tell(st, node, C(f"{prev} = [{v} | T{k}]"))
         prev = f"T{k}"
-    st.add_constraint(node, C(f"{prev} = nil"))
+    tell(st, node, C(f"{prev} = nil"))
 
 
 def long_values(same):
@@ -742,7 +748,7 @@ class TestLongStreams:
         tell_stream(st, 0, "V", v)
         tell_stream(st, 0, "W", w)
         registers = st.counts()["registers"]
-        st.add_constraint(0, C("V = W"))
+        tell(st, 0, C("V = W"))
         assert st.is_consistent() == same
         assert st.counts()["registers"] == registers
 
@@ -751,7 +757,7 @@ class TestLongStreams:
         st = Store.new(["V", "W"])
         tell_stream(st, 0, "V", v)
         tell_stream(st, 0, "W", w)
-        assert st.entails(0, C("V = W")) == same
+        assert ask(st, 0, C("V = W")) == same
         assert st.is_consistent()
 
     def test_merge_walks_both_streams(self, same):
@@ -759,7 +765,7 @@ class TestLongStreams:
         for flip in (False, True):
             base = Store.new(["V", "W"])
             told, built = base.branch(), base.branch()
-            told.add_constraint(0, C("V = W"))
+            tell(told, 0, C("V = W"))
             tell_stream(built, 0, "V", v)
             tell_stream(built, 0, "W", w)
             assert told.is_consistent() and built.is_consistent()
@@ -767,7 +773,7 @@ class TestLongStreams:
             out = Store.merge(base, snaps)
             assert out.is_consistent() == same
             if same:
-                assert out.entails(0, C("V = W"))
+                assert ask(out, 0, C("V = W"))
 
 
 # -------------------------------------------------------- the call law
