@@ -61,7 +61,7 @@ class ChoicePolicy:
         return enabled[rng.randrange(len(enabled))]
 
 
-Config = namedtuple("Config", "program store active clock status")
+Config = namedtuple("Config", "store active clock status")
 
 TraceStep = namedtuple("TraceStep", "clock status store agents")
 
@@ -131,8 +131,8 @@ def initial_config(program):
         raise ValueError("program has no entry agent")
     store = Store.new(program.entry_vars).seal()
     env = tuple([store.lookup(0, name) for name in program.entry_vars])
-    return Config(program, store, [Thread(compile_program(program), 0, env)],
-                  0, RUNNING)
+    return Config(store, [Thread(compile_program(program), 0, env)], 0,
+                  RUNNING)
 
 
 def step(config, policy, rng):
@@ -190,8 +190,7 @@ def step(config, policy, rng):
     store = Store.merge(base, snaps).seal()
     status = (FAILED if not store.is_consistent()
               else RUNNING if threads else QUIESCENT)
-    return True, Config(config.program, store, threads,
-                        config.clock + 1, status)
+    return True, Config(store, threads, config.clock + 1, status)
 
 
 def _trace_step(config):
@@ -200,7 +199,7 @@ def _trace_step(config):
     return TraceStep(config.clock, RUNNING, config.store.frozen(), agents)
 
 
-def run(program, steps, policy=None, seed=None, every=1):
+def run(program, steps, policy=None, every=1):
     """Simulate for at most `steps` instants; returns the kept trace steps.
 
     Element k describes the store after k instants (element 0 is the
@@ -214,8 +213,6 @@ def run(program, steps, policy=None, seed=None, every=1):
     """
     if policy is None:
         policy = ChoicePolicy("first")
-    if seed is not None and policy.seed is None:
-        policy = ChoicePolicy(policy.kind, seed)
     rng = policy.make_rng()
     config = initial_config(program)
     trace = [_trace_step(config)] if every else []

@@ -427,14 +427,12 @@ def o_step(config, policy, rng):
                               config.clock + 1, status)
 
 
-def o_run(program, steps, policy=None, seed=None, every=1):
+def o_run(program, steps, policy=None, every=1):
     """Mirror of the machine's run(), over the solved-form store; `every`
     keeps the same steps as there."""
     from .interp import ChoicePolicy
     if policy is None:
         policy = ChoicePolicy("first")
-    if seed is not None and policy.seed is None:
-        policy = ChoicePolicy(policy.kind, seed)
     rng = policy.make_rng()
     config = o_initial(program)
     trace = [OracleStep(0, RUNNING, config.state)] if every else []

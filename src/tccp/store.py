@@ -22,22 +22,21 @@ cell or a LIN code.
 
 Stores are stepped through snapshots: each thread of one time instant
 executes on its own branch. Every store of one run shares one `Base`:
-the allocation counters, which keep register, node and dimension indices
-disjoint so that they survive the merge verbatim, and the base lists of
-registers and scope nodes. A store reads its own writes (the registers
-and scope nodes it made since it was branched), then the view that its
-parent had at the branch, then the base. A scope node gets all its
-symbols when it is made and is never changed after, so stores, frozen
-copies and dump memos share nodes. Branching is O(1): a parent builds
-its view at most once between two of its own writes, and its branches
-share it. Merging reads only the siblings' own writes: siblings that
-changed nothing drop out, the first writer is adopted in O(its own
-writes), and each other writer's own writes are replayed onto it through
-unification; a clash (atom vs number, structure vs numeric, occurs
-cycle) latches the whole store inconsistent.
+the allocation counters, which keep register and dimension indices
+disjoint so that they survive the merge verbatim, the base list of
+registers, and the run's one list of scope nodes. A node is made whole
+and never changed, so `add_scope` appends it at its id, and a store sees
+the first `n_nodes`. A store reads its own register writes, then the
+view that its parent had at the branch, then the base. Branching is
+O(1): a parent builds its view at most once between two of its own
+writes, and its branches share it. Merging reads only the siblings' own
+writes: siblings that changed nothing drop out, the first writer is
+adopted in O(its own writes), and each other writer's own writes are
+replayed onto it through unification; a clash (atom vs number, structure
+vs numeric, occurs cycle) latches the whole store inconsistent.
 
-Only `seal()` writes the base lists: it folds the view into them in
-place, in O(this instant's changes), and so invalidates every other
+Only `seal()` writes the base list of registers: it folds the view into
+it in place, in O(this instant's changes), and so invalidates every other
 store over the same base, the sealed store's own ancestors and siblings
 included. A store that must outlive the next seal is copied first with
 `frozen()`, which costs O(store).
@@ -143,17 +142,17 @@ def compile_actual(a, slots):
 
 
 class Base:
-    """What every store of one run shares: the counters that keep register,
-    node and dimension indices disjoint, and the register and scope-node
-    lists that `seal()` grows in place."""
+    """What every store of one run shares: the counters that keep register
+    and dimension indices disjoint, the register list that `seal()` grows
+    in place, and the scope nodes, each at its id, that `add_scope`
+    appends."""
 
-    __slots__ = ("memory", "scopes", "next_cell", "next_node", "next_dim")
+    __slots__ = ("memory", "scopes", "next_cell", "next_dim")
 
     def __init__(self):
         self.memory = []
         self.scopes = []
         self.next_cell = 0
-        self.next_node = 0
         self.next_dim = 0
 
 
@@ -182,9 +181,10 @@ def _fold(base, size, *deltas):
 
 
 class Layer:
-    """Read-only view of `memory` or `scopes` as a store sees them; a slot
-    that a sibling allocated is None. Not a list: the benchmark's tracer
-    takes `len` of both on every `branch()` (until ROADMAP item 4)."""
+    """Read-only view of `memory` as a store sees it, a slot that a sibling
+    allocated being None, or of its first `n_nodes` scope nodes (an empty
+    delta). Not a list: the benchmark's tracer takes `len` of both on
+    every `branch()` (until ROADMAP item 4)."""
 
     __slots__ = ("base", "delta", "size")
 
@@ -233,8 +233,6 @@ def _cell_text(cell):
 
 
 def _node_text(node):
-    if node is None:
-        return "null"
     return '{"id":%d,"parent":%s,"kind":%s,"label":%s,"symbols":{%s}}' % (
         node.id, "null" if node.parent is None else node.parent,
         _json_str(node.kind), _json_str(node.label),
@@ -255,7 +253,7 @@ class DumpMemo:
 
     def __init__(self):
         # slot i held cells[i] (nodes[i]) when it was rendered as
-        # cell_text[i] (node_text[i]); None is "null"
+        # cell_text[i] (node_text[i]); a None cell is "null"
         self.cells = []
         self.cell_text = []
         self.nodes = []
@@ -277,19 +275,18 @@ def _memo_texts(held, text, items, render):
 
 
 class Store:
-    """One value of the store: own writes over an inherited view over the
-    base that every store of its run shares (see the module docstring)."""
+    """One value of the store: own register writes over an inherited view
+    over the base that every store of its run shares, and the first
+    `n_nodes` of the run's scope nodes (see the module docstring)."""
 
-    __slots__ = ("base", "inherited", "node_inherited", "write_log",
-                 "node_log", "view", "n_cells", "n_nodes", "lin",
-                 "step_false")
+    __slots__ = ("base", "inherited", "write_log", "view", "n_cells",
+                 "n_nodes", "lin", "step_false")
 
     def __init__(self):
         self.base = Base()
-        self.inherited = self.node_inherited = {}  # the parent's view: read only
+        self.inherited = {}  # the parent's view: read only
         self.write_log = {}  # register index -> cell, written since the branch
-        self.node_log = {}  # node id -> node, made since the branch
-        self.view = None  # (cells, nodes) inherited plus own, once built
+        self.view = None  # inherited plus own, once built
         # lengths of memory and scopes as this store sees them, counting
         # slots that only a sibling filled
         self.n_cells = 0
@@ -306,19 +303,18 @@ class Store:
 
     @property
     def memory(self):
-        return Layer(self.base.memory, self._view()[0], self.n_cells)
+        return Layer(self.base.memory, self._view(), self.n_cells)
 
     @property
     def scopes(self):
-        return Layer(self.base.scopes, self._view()[1], self.n_nodes)
+        return Layer(self.base.scopes, {}, self.n_nodes)
 
     # ------------------------------------------------------------ branches
 
     def _view(self):
-        """(cells, nodes), inherited under own writes; never changed."""
+        """The registers inherited under own writes; never changed."""
         if self.view is None:
-            self.view = ({**self.inherited, **self.write_log},
-                         {**self.node_inherited, **self.node_log})
+            self.view = {**self.inherited, **self.write_log}
         return self.view
 
     def branch(self):
@@ -326,35 +322,32 @@ class Store:
         writes over this store's view, which both share and neither
         changes, O(1) once the view is built."""
         s = Store.__new__(Store)
-        s.inherited, s.node_inherited = self.view or self._view()
-        s.write_log, s.node_log, s.view = {}, {}, None
+        s.inherited = self.view or self._view()
+        s.write_log, s.view = {}, None
         s.base, s.n_cells, s.n_nodes, s.lin, s.step_false = \
             self.base, self.n_cells, self.n_nodes, self.lin, self.step_false
         return s
 
     def seal(self):
-        """Fold the view into the base lists, in place. Every other store
-        over this base reads the result from now on, so none of them is
-        valid any more; this one stays valid, with nothing over the base."""
+        """Fold the view into the base's registers, in place. Every other
+        store over this base reads the result from now on, so none of them
+        is valid any more; this one stays valid, with nothing over the
+        base."""
         _fold(self.base.memory, self.n_cells, self.inherited, self.write_log)
-        _fold(self.base.scopes, self.n_nodes, self.node_inherited,
-              self.node_log)
-        self.inherited = self.node_inherited = {}
-        self.write_log, self.node_log, self.view = {}, {}, None
+        self.inherited, self.write_log, self.view = {}, {}, None
         return self
 
     def frozen(self):
         """A copy that no later seal changes: O(store). It reads like this
-        store, over a base of its own that cannot be sealed."""
+        store, over a base of its own that cannot be sealed, with its own
+        copy of the scope nodes that it sees."""
         s = self.branch()
         base = s.base = Base()
         base.memory = tuple(_overlaid(self.base.memory, s.inherited,
                                       self.n_cells))
-        base.scopes = tuple(_overlaid(self.base.scopes, s.node_inherited,
-                                      self.n_nodes))
-        base.next_cell, base.next_node, base.next_dim = (
-            self.base.next_cell, self.base.next_node, self.base.next_dim)
-        s.inherited = s.node_inherited = {}
+        base.scopes = self.base.scopes[:self.n_nodes]
+        base.next_cell, base.next_dim = self.base.next_cell, self.base.next_dim
+        s.inherited = {}
         return s
 
     # ----------------------------------------------------------- low level
@@ -411,13 +404,10 @@ class Store:
 
     def add_scope(self, kind, parent, symbols, label=""):
         """A new scope node holding `symbols` (name -> register index), the
-        dict itself; returns its id."""
-        nid = self.base.next_node
-        self.base.next_node += 1
-        self.node_log[nid] = ScopeNode(nid, parent, kind, label, symbols)
-        self.view = None
-        if nid >= self.n_nodes:
-            self.n_nodes = nid + 1
+        dict itself, appended to the run's nodes; returns its id."""
+        nid = len(self.base.scopes)
+        self.base.scopes.append(ScopeNode(nid, parent, kind, label, symbols))
+        self.n_nodes = nid + 1
         return nid
 
     def new_cell(self):
@@ -425,10 +415,10 @@ class Store:
         return self._alloc_cell(UNBOUND)
 
     def lookup(self, scope_id, name):
-        log, inh, scopes = self.node_log, self.node_inherited, self.base.scopes
+        scopes = self.base.scopes
         nid = scope_id
         while nid is not None:
-            node = log.get(nid) or inh.get(nid) or scopes[nid]
+            node = scopes[nid]
             if name in node.symbols:
                 return node.symbols[name]
             if node.kind == PROC_CALL:
@@ -624,8 +614,9 @@ class Store:
         """
         base_len = base.n_cells
         # a dims-only lin still counts: dims are printed
-        writers = [s for s in locals_ if s.write_log or s.node_log
-                   or s.lin is not base.lin or s.step_false != base.step_false]
+        writers = [s for s in locals_ if s.write_log
+                   or s.n_nodes != base.n_nodes or s.lin is not base.lin
+                   or s.step_false != base.step_false]
         # replayed onto base, the first writer gives back its own cells,
         # unless it refs an older register that it also bound: replay binds
         # older registers in index order and would turn that ref around (a
@@ -636,10 +627,8 @@ class Store:
                                and c[1] in log for c in log.values()):
             first, rest = writers[0], writers[1:]
         out = Store.__new__(Store)
-        out.inherited, out.node_inherited, out.view = \
-            base.inherited, base.node_inherited, None
+        out.inherited, out.view = base.inherited, None
         out.write_log = {**base.write_log, **first.write_log}
-        out.node_log = {**base.node_log, **first.node_log}
         out.base, out.n_cells, out.n_nodes, out.lin, out.step_false = \
             base.base, first.n_cells, first.n_nodes, first.lin, first.step_false
         if rest and any(snap.lin is not base.lin for snap in rest):
@@ -648,7 +637,6 @@ class Store:
                                          if snap.lin is not base.lin])
         for snap in rest:
             out.step_false = out.step_false or snap.step_false
-            out.node_log.update(snap.node_log)
             out.n_cells = max(out.n_cells, snap.n_cells)
             out.n_nodes = max(out.n_nodes, snap.n_nodes)
             # new registers as they are (allocation keeps indices disjoint
@@ -668,13 +656,13 @@ class Store:
 
     def dump(self, memo=None):
         """The store as `docs/trace.md` describes it, as compact JSON text;
-        a slot that only a sibling snapshot allocated is rendered as null.
-        Kept across dumps, a `DumpMemo` encodes again only the slots that
-        changed since its previous dump."""
+        a register that only a sibling snapshot allocated is rendered as
+        null, and scopes are the run's first `n_nodes` nodes. Kept across
+        dumps, a `DumpMemo` encodes again only the slots that changed since
+        its previous dump."""
         memo = memo or DumpMemo()
-        cells, nodes = self._view()
-        scopes = _overlaid(self.base.scopes, nodes, self.n_nodes)
-        memory = _overlaid(self.base.memory, cells, self.n_cells)
+        scopes = self.base.scopes[:self.n_nodes]
+        memory = _overlaid(self.base.memory, self._view(), self.n_cells)
         return ('{"consistent":%s,"nodes":%d,"registers":%d,"dims":%d,'
                 '"scopes":[%s],"memory":[%s],"lin":[%s]}' % (
                     "true" if self.is_consistent() else "false",

@@ -56,26 +56,22 @@ def _cell_doc(cell):
 
 
 def _node_doc(node):
-    if node is None:
-        return None
     return {"id": node.id, "parent": node.parent, "kind": node.kind,
             "label": node.label, "symbols": dict(node.symbols)}
 
 
 def dump_doc(st):
     """The document that `st.dump()` writes as text, built as a dict: the
-    reference that the text is held equal to. A slot that only a sibling
-    snapshot allocated is None."""
-    cells, nodes = st._view()
+    reference that the text is held equal to. A register that only a
+    sibling snapshot allocated is None."""
     return {
         "consistent": st.is_consistent(),
         "nodes": st.n_nodes,
         "registers": st.n_cells,
         "dims": st.lin.dims,
-        "scopes": [_node_doc(node) for node in
-                   _overlaid(st.base.scopes, nodes, st.n_nodes)],
+        "scopes": [_node_doc(node) for node in st.base.scopes[:st.n_nodes]],
         "memory": [_cell_doc(cell) for cell in
-                   _overlaid(st.base.memory, cells, st.n_cells)],
+                   _overlaid(st.base.memory, st._view(), st.n_cells)],
         "lin": dump_lin(st.lin),
     }
 
@@ -633,17 +629,14 @@ def replay_merge(base, locals_):
     registers first, then older ones in index order. No sibling is
     dropped and none is adopted."""
     out = base.branch()
-    base_cells, base_len = base._view()[0], base.n_cells
+    base_cells, base_len = base._view(), base.n_cells
     lins = [snap.lin for snap in locals_ if snap.lin is not base.lin]
     if lins:
         out.lin = ls_meet(base.lin, lins)
     for snap in locals_:
         out.step_false = out.step_false or snap.step_false
-        cells, nodes = snap._view()
-        for nid, node in nodes.items():
-            if nid >= base.n_nodes:
-                out.node_log[nid] = node
-                out.n_nodes = max(out.n_nodes, nid + 1)
+        out.n_nodes = max(out.n_nodes, snap.n_nodes)
+        cells = snap._view()
         own = sorted((idx, cell) for idx, cell in cells.items()
                      if base_cells.get(idx) is not cell)
         for idx, cell in own:

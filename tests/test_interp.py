@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from tccp.interp import ChoicePolicy, run
+from tccp.interp import ChoicePolicy, initial_config, run, step
 from tccp.parser import parse_constraint, parse_program
 from tccp.store import Store
 from support import ask, dump_doc
@@ -15,8 +15,8 @@ def P(entry, decls=""):
     return parse_program(decls, entry=entry)
 
 
-def trace_of(entry, steps=10, decls="", policy=None, seed=None):
-    return run(P(entry, decls), steps, policy=policy, seed=seed)
+def trace_of(entry, steps=10, decls="", policy=None):
+    return run(P(entry, decls), steps, policy=policy)
 
 
 def holds(el, text):
@@ -78,9 +78,21 @@ class TestMoves:
         assert len(t) == 1 and t[0].status == "quiescent"
 
     def test_suspended_choice_never_commits(self):
-        t = trace_of("ask(X = a) -> skip", steps=5)
-        assert len(t) == 1 and t[0].status == "quiescent"
-        assert t[0].agents == ("ask(X = a) -> skip",)
+        # in the second, an exists makes a scope before its choice suspends
+        for entry, residual, moves in (
+                ("ask(X = a) -> skip", "ask(X = a) -> skip", 0),
+                ("ask(true) -> exists L (ask(L = a) -> skip)",
+                 "exists L (ask(L = a) -> skip)", 1)):
+            t = trace_of(entry, steps=5)
+            assert len(t) == 1 + moves and t[-1].status == "quiescent"
+            assert t[-1].agents == (residual,)
+            config = initial_config(P(entry))
+            for _ in range(moves):
+                config = step(config, ChoicePolicy(), None)[1]
+            before = config.store.dump(), config.store.counts()
+            moved, config = step(config, ChoicePolicy(), None)
+            assert not moved
+            assert (config.store.dump(), config.store.counts()) == before
 
     def test_now_moves_even_into_skip(self):
         t = trace_of("now X = a then skip", steps=5)
@@ -146,15 +158,10 @@ class TestChoice:
         assert dumps(a) == dumps(b)
         assert [el.status for el in a] == [el.status for el in b]
 
-    def test_seed_argument_reaches_the_policy(self):
-        a = run(P(self.BOTH), 10, policy=ChoicePolicy("random"), seed=9)
-        b = run(P(self.BOTH), 10, policy=ChoicePolicy("random"), seed=9)
-        assert dumps(a) == dumps(b)
-
     def test_policies_agree_when_at_most_one_guard_is_enabled(self):
         entry = ("tell(X = a) || (ask(X = a) -> tell(Y = on)"
                  " + ask(X = b) -> tell(Y = off))")
-        ts = [trace_of(entry, policy=ChoicePolicy(k), seed=3)
+        ts = [trace_of(entry, policy=ChoicePolicy(k, 3))
               for k in ("first", "last", "random")]
         assert dumps(ts[0]) == dumps(ts[1]) == dumps(ts[2])
 

@@ -35,10 +35,10 @@ PROBES_SHA256 = (
     "bac1822eddb69a0802d7182e60e552f91ee0246246b9eecbfbe16e86b3b16fc7")
 
 
-def agree(program, steps, policy=None, seed=None):
+def agree(program, steps, policy=None):
     probes = probe_set(program)
-    m = machine_observables(run(program, steps, policy=policy, seed=seed), probes)
-    o = oracle_observables(o_run(program, steps, policy=policy, seed=seed), probes)
+    m = machine_observables(run(program, steps, policy=policy), probes)
+    o = oracle_observables(o_run(program, steps, policy=policy), probes)
     return m, o
 
 
@@ -72,7 +72,7 @@ class TestGenerated:
         for i in range(40):
             decls, entry = ProgramGen(rng).gen()
             program = parse_program(decls, entry=entry)
-            m, o = agree(program, 10, policy=ChoicePolicy("random"), seed=i)
+            m, o = agree(program, 10, policy=ChoicePolicy("random", i))
             assert m == o, f"program {i}:\n{decls}\nentry: {entry}"
 
 
@@ -124,8 +124,8 @@ def test_the_specialised_forms_agree_under_each_policy():
     for kind in ("first", "last", "random"):
         for i, (decls, entry) in enumerate(SPECIALISED):
             program = parse_program(decls, entry=entry)
-            m, o = agree(program, 12, policy=ChoicePolicy(kind),
-                         seed=i if kind == "random" else None)
+            m, o = agree(program, 12, policy=ChoicePolicy(
+                kind, i if kind == "random" else None))
             assert m == o, (kind, i)
 
 
