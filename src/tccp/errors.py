@@ -59,11 +59,3 @@ class UnknownSymbolError(TccpError):
     def __init__(self, name):
         self.name = name
         super().__init__(f"symbol {name} not visible in scope")
-
-
-class UnallocatedDimensionError(TccpError):
-    def __init__(self, dim, dims):
-        self.dim = dim
-        self.dims = dims
-        super().__init__(f"dimension {dim} not allocated (store has {dims})")
-

@@ -4,7 +4,8 @@ Constraints are kept in a canonical integer form: `sum a_i * D_i + b  op  0`
 with op one of `=`, `<=`, `<`, coefficients scaled to integers with gcd 1,
 and (for equalities) the lowest-numbered dimension carrying a positive
 coefficient. Stores are immutable values; every operation returns a new
-store. Dimensions are identified by index and are never renumbered.
+store. Dimensions are identified by index and are never renumbered; the
+store does not count them, whoever allocates them does.
 
 Satisfiability is decided exactly over the rationals. Each store keeps
 its equalities in a solved form that grows by at most one pivot per told
@@ -23,7 +24,6 @@ from heapq import heapify, heappop, heappush
 from math import gcd
 
 from .ast import LinExpr, pretty_linexpr, pretty_num
-from .errors import UnallocatedDimensionError
 
 # canonical row: (op, ((dim, int_coef), ...), int_const) meaning expr op 0
 FALSE_ROW = ("<", (), 0)  # 0 < 0
@@ -266,7 +266,7 @@ def _feasible(rows, solved):
 # -------------------------------------------------------------- the store
 
 class LinStore:
-    """Immutable set of canonical rows over a fixed number of dimensions.
+    """Immutable set of canonical rows.
 
     `rows` are the rows as told and alone make the store's value. The
     other fields index them: `solved` holds the equalities in solved
@@ -277,10 +277,9 @@ class LinStore:
     following `rows`; nothing reads it.
     """
 
-    __slots__ = ("dims", "rows", "solved", "ineqs", "empty", "_memo")
+    __slots__ = ("rows", "solved", "ineqs", "empty", "_memo")
 
-    def __init__(self, dims, rows, solved, ineqs, empty):
-        self.dims = dims
+    def __init__(self, rows, solved, ineqs, empty):
         self.rows = rows
         self.solved = solved
         self.ineqs = ineqs
@@ -288,73 +287,57 @@ class LinStore:
         self._memo = {}
 
     def __eq__(self, other):
-        return (isinstance(other, LinStore)
-                and self.dims == other.dims and self.rows == other.rows)
+        return isinstance(other, LinStore) and self.rows == other.rows
 
     def __hash__(self):
-        return hash((self.dims, self.rows))
+        return hash(self.rows)
 
     def __repr__(self):
-        return f"LinStore(dims={self.dims}, rows={len(self.rows)}, empty={self.empty})"
+        return f"LinStore(rows={len(self.rows)}, empty={self.empty})"
 
 
 # one empty store for all: stores are values, and its memo only caches answers
-_NEW = LinStore(0, (), {}, (), False)
+_NEW = LinStore((), {}, (), False)
 
 
 def ls_new():
     return _NEW
 
 
-def ls_grow(s, dims):
-    """Grow the dimension space to at least `dims` (no renumbering)."""
-    if dims <= s.dims:
-        return s
-    return LinStore(dims, s.rows, s.solved, s.ineqs, s.empty)
-
-
-def _told(s, dims, new):
-    """`s` over `dims` dimensions with the rows `new`, none of them in `s`, told.
+def _told(s, new):
+    """`s` with the rows `new`, none of them in `s`, told.
 
     Only the new rows go through the solved form. An inequality that it
     reduces to a true constant stays true as the store grows, so it leaves
     `ineqs` for good; the rest reach the feasibility check reduced.
     """
     if not new:
-        return ls_grow(s, dims)
+        return s
     rows = s.rows + new
     if s.empty:
-        return LinStore(dims, rows, s.solved, s.ineqs, True)
+        return LinStore(rows, s.solved, s.ineqs, True)
     solved, ineqs = dict(s.solved), s.ineqs
     for r in new:
         if r[0] != "=":
             ineqs += (r,)
         elif not _absorb(solved, r):
-            return LinStore(dims, rows, solved, ineqs, True)
+            return LinStore(rows, solved, ineqs, True)
     live, reduced = [], []
     for r in ineqs:
         coeffs, const = _reduce(r[1], r[2], solved)
         if coeffs or not _holds(r[0], const):
             live.append(r)
             reduced.append((r[0], coeffs, const))
-    return LinStore(dims, rows, solved, tuple(live),
-                    not _feasible(reduced, solved))
-
-
-def _check_dims(s, r):
-    for d, _ in r[1]:
-        if d >= s.dims:
-            raise UnallocatedDimensionError(d, s.dims)
+    return LinStore(rows, solved, tuple(live), not _feasible(reduced, solved))
 
 
 def ls_add(s, r):
     """Meet the store with one canonical row (from `row(...)`), or None for true."""
     if r is None:
         return s
-    _check_dims(s, r)
     if r in s.rows:
         return s
-    return _told(s, s.dims, (r,))
+    return _told(s, (r,))
 
 
 def ls_is_empty(s):
@@ -365,7 +348,6 @@ def ls_entails(s, r):
     """Does every solution of the store satisfy the row? Pure, memoized."""
     if r is None:
         return True
-    _check_dims(s, r)
     if s.empty:
         return True
     hit = s._memo.get(r)
@@ -389,19 +371,17 @@ def ls_meet(base, lins):
     own rows follow base's: those rows, told to `base` once each, in order.
     With `ls_new()` as base this is the meet of any stores."""
     new = dict.fromkeys(r for s in lins for r in s.rows[len(base.rows):])
-    return _told(base, max(s.dims for s in lins), tuple(new))
+    return _told(base, tuple(new))
 
 
 def ls_project(s, dim):
     """Existentially quantify one dimension (Fourier-Motzkin).
 
-    The dimension stays allocated but becomes unconstrained; relations
-    among the remaining dimensions are preserved.
+    The dimension becomes unconstrained; relations among the remaining
+    dimensions are preserved.
     """
-    if dim >= s.dims:
-        raise UnallocatedDimensionError(dim, s.dims)
     if s.empty:
-        return _told(ls_new(), s.dims, (FALSE_ROW,))
+        return _told(ls_new(), (FALSE_ROW,))
     work = [(op, {d: Fraction(c) for d, c in coeffs}, Fraction(const))
             for op, coeffs, const in s.rows]
     keep = [r for r in work if dim not in r[1]]
@@ -440,10 +420,10 @@ def ls_project(s, dim):
     for rop, rc, rconst in keep + out:
         r = row(rop, rc, rconst)
         if r is FALSE_ROW:
-            return _told(ls_new(), s.dims, (FALSE_ROW,))
+            return _told(ls_new(), (FALSE_ROW,))
         if r is not None and r not in rows:
             rows.append(r)
-    return _told(ls_new(), s.dims, tuple(rows))
+    return _told(ls_new(), tuple(rows))
 
 
 # ------------------------------------------------------------------ dump

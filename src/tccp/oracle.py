@@ -13,7 +13,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from . import ast
-from .linear import ls_add, ls_entails, ls_grow, ls_is_empty, ls_new, row
+from .linear import ls_add, ls_entails, ls_is_empty, ls_new, row
 
 RUNNING, QUIESCENT, FAILED = "running", "quiescent", "failed"
 
@@ -78,9 +78,7 @@ class OracleState:
             return self.dims[name]
         if not allocate:
             return None
-        d = self.lin.dims
-        self.lin = ls_grow(self.lin, d + 1)
-        self.dims[name] = d
+        d = self.dims[name] = len(self.dims)
         return d
 
     def _numeric(self, t):

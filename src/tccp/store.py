@@ -25,15 +25,18 @@ executes on its own branch. Every store of one run shares one `Base`:
 the allocation counters, which keep register and dimension indices
 disjoint so that they survive the merge verbatim, the base list of
 registers, and the run's one list of scope nodes. A node is made whole
-and never changed, so `add_scope` appends it at its id, and a store sees
-the first `n_nodes`. A store reads its own register writes, then the
-view that its parent had at the branch, then the base. Branching is
-O(1): a parent builds its view at most once between two of its own
-writes, and its branches share it. Merging reads only the siblings' own
-writes: siblings that changed nothing drop out, the first writer is
-adopted in O(its own writes), and each other writer's own writes are
-replayed onto it through unification; a clash (atom vs number, structure
-vs numeric, occurs cycle) latches the whole store inconsistent.
+and never changed, so `add_scope` appends it at its id. A store keeps
+three counts of what it sees: `n_cells` registers, the first `n_nodes`
+nodes and `n_dims` dimensions, each counting what it and its ancestors
+allocated and, once merged, its siblings. A store reads its own register
+writes, then the view that its parent had at the branch, then the base.
+Branching is O(1): a parent builds its view at most once between two of
+its own writes, and its branches share it. Merging reads only the
+siblings' own writes: siblings that changed nothing drop out, the first
+writer is adopted in O(its own writes), and each other writer's own
+writes are replayed onto it through unification; a clash (atom vs
+number, structure vs numeric, occurs cycle) latches the whole store
+inconsistent.
 
 Only `seal()` writes the base list of registers: it folds the view into
 it in place, in O(this instant's changes), and so invalidates every other
@@ -49,7 +52,7 @@ from json.encoder import encode_basestring_ascii as _json_str
 from . import ast
 from .errors import UnknownSymbolError
 from .linear import (
-    dump_lin, ls_add, ls_entails, ls_grow, ls_is_empty, ls_meet, ls_new, row,
+    dump_lin, ls_add, ls_entails, ls_is_empty, ls_meet, ls_new, row,
 )
 
 UNBOUND = ("unbound",)
@@ -276,21 +279,23 @@ def _memo_texts(held, text, items, render):
 
 class Store:
     """One value of the store: own register writes over an inherited view
-    over the base that every store of its run shares, and the first
-    `n_nodes` of the run's scope nodes (see the module docstring)."""
+    over the base that every store of its run shares, and a linear store;
+    it sees `n_cells` registers, the first `n_nodes` of the run's scope
+    nodes and `n_dims` dimensions (see the module docstring)."""
 
     __slots__ = ("base", "inherited", "write_log", "view", "n_cells",
-                 "n_nodes", "lin", "step_false")
+                 "n_nodes", "n_dims", "lin", "step_false")
 
     def __init__(self):
         self.base = Base()
         self.inherited = {}  # the parent's view: read only
         self.write_log = {}  # register index -> cell, written since the branch
         self.view = None  # inherited plus own, once built
-        # lengths of memory and scopes as this store sees them, counting
-        # slots that only a sibling filled
+        # lengths of memory, scopes and the dimension space as this store
+        # sees them, counting slots that only a sibling filled
         self.n_cells = 0
         self.n_nodes = 0
+        self.n_dims = 0
         self.lin = ls_new()
         self.step_false = False
 
@@ -324,8 +329,9 @@ class Store:
         s = Store.__new__(Store)
         s.inherited = self.view or self._view()
         s.write_log, s.view = {}, None
-        s.base, s.n_cells, s.n_nodes, s.lin, s.step_false = \
-            self.base, self.n_cells, self.n_nodes, self.lin, self.step_false
+        s.base, s.n_cells, s.n_nodes, s.n_dims, s.lin, s.step_false = (
+            self.base, self.n_cells, self.n_nodes, self.n_dims, self.lin,
+            self.step_false)
         return s
 
     def seal(self):
@@ -367,11 +373,11 @@ class Store:
     def _alloc_dim(self):
         d = self.base.next_dim
         self.base.next_dim += 1
-        self.lin = ls_grow(self.lin, d + 1)
+        self.n_dims = d + 1
         return d
 
     def _add_row(self, r):
-        self.lin = ls_add(ls_grow(self.lin, self.base.next_dim), r)
+        self.lin = ls_add(self.lin, r)
 
     def _deref(self, idx):
         """The register at the end of idx's ref chain, and its cell."""
@@ -613,7 +619,6 @@ class Store:
         latching inconsistency.
         """
         base_len = base.n_cells
-        # a dims-only lin still counts: dims are printed
         writers = [s for s in locals_ if s.write_log
                    or s.n_nodes != base.n_nodes or s.lin is not base.lin
                    or s.step_false != base.step_false]
@@ -629,8 +634,9 @@ class Store:
         out = Store.__new__(Store)
         out.inherited, out.view = base.inherited, None
         out.write_log = {**base.write_log, **first.write_log}
-        out.base, out.n_cells, out.n_nodes, out.lin, out.step_false = \
-            base.base, first.n_cells, first.n_nodes, first.lin, first.step_false
+        out.base, out.n_cells, out.n_nodes, out.n_dims = (
+            base.base, first.n_cells, first.n_nodes, first.n_dims)
+        out.lin, out.step_false = first.lin, first.step_false
         if rest and any(snap.lin is not base.lin for snap in rest):
             # each lin grew from base.lin
             out.lin = ls_meet(base.lin, [snap.lin for snap in writers
@@ -639,6 +645,7 @@ class Store:
             out.step_false = out.step_false or snap.step_false
             out.n_cells = max(out.n_cells, snap.n_cells)
             out.n_nodes = max(out.n_nodes, snap.n_nodes)
+            out.n_dims = max(out.n_dims, snap.n_dims)
             # new registers as they are (allocation keeps indices disjoint
             # across siblings), then older ones, unified in index order
             log = snap.write_log
@@ -652,7 +659,7 @@ class Store:
 
     def counts(self):
         return {"nodes": self.n_nodes, "registers": self.n_cells,
-                "dims": self.lin.dims}
+                "dims": self.n_dims}
 
     def dump(self, memo=None):
         """The store as `docs/trace.md` describes it, as compact JSON text;
@@ -666,7 +673,7 @@ class Store:
         return ('{"consistent":%s,"nodes":%d,"registers":%d,"dims":%d,'
                 '"scopes":[%s],"memory":[%s],"lin":[%s]}' % (
                     "true" if self.is_consistent() else "false",
-                    self.n_nodes, self.n_cells, self.lin.dims,
+                    self.n_nodes, self.n_cells, self.n_dims,
                     ",".join(_memo_texts(memo.nodes, memo.node_text,
                                          scopes, _node_text)),
                     ",".join(_memo_texts(memo.cells, memo.cell_text,

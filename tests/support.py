@@ -15,7 +15,7 @@ from pathlib import Path
 import tccp
 from tccp import ast
 from tccp.linear import (
-    FALSE_ROW, dump_lin, ls_add, ls_entails, ls_grow, ls_meet, ls_new, row,
+    FALSE_ROW, dump_lin, ls_add, ls_entails, ls_meet, ls_new, row,
 )
 from tccp.store import (
     _CELL_FIELD, _cell_arg, _overlaid, compile_actual, compile_constraint,
@@ -68,7 +68,7 @@ def dump_doc(st):
         "consistent": st.is_consistent(),
         "nodes": st.n_nodes,
         "registers": st.n_cells,
-        "dims": st.lin.dims,
+        "dims": st.n_dims,
         "scopes": [_node_doc(node) for node in st.base.scopes[:st.n_nodes]],
         "memory": [_cell_doc(cell) for cell in
                    _overlaid(st.base.memory, st._view(), st.n_cells)],
@@ -250,7 +250,7 @@ def random_row(rng, dims, ops=("=", "<=", "<"), lo=-4, hi=4):
 
 
 def random_store(rng, dims=3, max_rows=4):
-    s = ls_grow(ls_new(), dims)
+    s = ls_new()
     for _ in range(rng.randint(0, max_rows)):
         s = ls_add(s, random_row(rng, dims))
     return s
@@ -548,7 +548,7 @@ def check_projection_axioms(rng, n_stores, dims=3):
         # (b) monotone: a weaker store projects to a weaker store
         sub = list(s.rows)
         rng.shuffle(sub)
-        weaker = ls_grow(ls_new(), dims)
+        weaker = ls_new()
         for r in sub[:rng.randint(0, len(sub))]:
             weaker = ls_add(weaker, r)
         assert all(ls_entails(ls_project(s, x), r)
@@ -636,6 +636,7 @@ def replay_merge(base, locals_):
     for snap in locals_:
         out.step_false = out.step_false or snap.step_false
         out.n_nodes = max(out.n_nodes, snap.n_nodes)
+        out.n_dims = max(out.n_dims, snap.n_dims)
         cells = snap._view()
         own = sorted((idx, cell) for idx, cell in cells.items()
                      if base_cells.get(idx) is not cell)

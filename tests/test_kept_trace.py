@@ -132,6 +132,24 @@ class TestSnapshotsStayPut:
                     assert dump_doc(el.store) == eager[el.clock], (kind, i)
 
 
+def test_committed_stores_count_every_dimension_of_the_run(generated):
+    """After every step that moves, the committed store counts each
+    dimension that the run allocated, a merged sibling's included."""
+    allocating = 0
+    for kind in POLICIES:
+        for i, program in enumerate(generated):
+            policy = policy_of(kind, i)
+            rng, config = policy.make_rng(), interp.initial_config(program)
+            for _ in range(12):
+                moved, config = interp.step(config, policy, rng)
+                if not moved:
+                    break
+                store = config.store
+                assert store.counts()["dims"] == store.base.next_dim, (kind, i)
+            allocating += config.store.base.next_dim > 0
+    assert allocating == 233
+
+
 def compact(store):
     return json.dumps(dump_doc(store), separators=(",", ":"))
 

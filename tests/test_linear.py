@@ -5,14 +5,12 @@ import itertools
 import random
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from tccp import linear
-from tccp.errors import UnallocatedDimensionError
 from tccp.linear import (
-    FALSE_ROW, dump_lin, dump_row, ls_add, ls_entails, ls_grow,
-    ls_is_empty, ls_meet, ls_new, ls_project, row,
+    FALSE_ROW, dump_lin, dump_row, ls_add, ls_entails, ls_is_empty,
+    ls_meet, ls_new, ls_project, row,
 )
 from support import (
     fm_feasible, fraction_absorb, fraction_reduce, fraction_row, random_row,
@@ -45,8 +43,8 @@ def fm_entails(rows, c):
     return True
 
 
-def store(dims, *rows_):
-    s = ls_grow(ls_new(), dims)
+def store(*rows_):
+    s = ls_new()
     for r in rows_:
         s = ls_add(s, r)
     return s
@@ -60,40 +58,24 @@ class TestBasics:
 
     def test_fresh_store_entails_only_trivial_rows(self):
         s = ls_new()
-        s, d = ls_grow(s, s.dims + 1), s.dims
-        assert d == 0
         assert ls_entails(s, None)
         assert not ls_entails(s, R("=", {0: 1}, 0))
 
-    def test_add_dim_numbers_sequentially(self):
-        s = ls_new()
-        for expect in range(6):
-            s, d = ls_grow(s, s.dims + 1), s.dims
-            assert d == expect
-        assert s.dims == 6
-
-    def test_add_requires_allocated_dims(self):
-        s = store(1)
-        with pytest.raises(UnallocatedDimensionError):
-            ls_add(s, R("=", {2: 1}, 0))
-        with pytest.raises(UnallocatedDimensionError):
-            ls_entails(s, R("=", {2: 1}, 0))
-
     def test_add_then_compatible_add_stays_satisfiable(self):
         # D0 = 5, then D0 > 0
-        s = store(1, R("=", {0: 1}, -5), R(">", {0: 1}, 0))
+        s = store(R("=", {0: 1}, -5), R(">", {0: 1}, 0))
         assert not ls_is_empty(s)
 
     def test_contradictory_adds_empty_the_store(self):
-        s = store(1, R(">", {0: 1}, 0), R("<", {0: 1}, 0))
+        s = store(R(">", {0: 1}, 0), R("<", {0: 1}, 0))
         assert ls_is_empty(s)
 
     def test_equal_constants_conflict(self):
-        s = store(1, R("=", {0: 1}, -1), R("=", {0: 1}, -2))
+        s = store(R("=", {0: 1}, -1), R("=", {0: 1}, -2))
         assert ls_is_empty(s)
 
     def test_opposed_bounds_leave_the_equality_solvable(self):
-        s = store(2, R("<=", {0: 1, 1: -1}, 0), R("<=", {1: 1, 0: -1}, 0))
+        s = store(R("<=", {0: 1, 1: -1}, 0), R("<=", {1: 1, 0: -1}, 0))
         assert not ls_is_empty(s)
         assert ls_entails(s, R("=", {0: 1, 1: -1}, 0))
 
@@ -102,29 +84,29 @@ class TestBasics:
 
 class TestEntailment:
     def test_equality_entails_strict_bound(self):
-        s = store(1, R("=", {0: 1}, -5))
+        s = store(R("=", {0: 1}, -5))
         assert ls_entails(s, R(">", {0: 1}, 0))
         assert ls_entails(s, R("=", {0: 1}, -5))
         assert not ls_entails(s, R("<", {0: 1}, 0))
 
     def test_open_bound_does_not_pin_a_value(self):
-        s = store(1, R(">", {0: 1}, 0))
+        s = store(R(">", {0: 1}, 0))
         assert not ls_entails(s, R("=", {0: 1}, -5))
 
     def test_rationals_are_dense(self):
         # over the rationals, D0 > 0 leaves room below 1
-        s = store(1, R(">", {0: 1}, 0))
+        s = store(R(">", {0: 1}, 0))
         assert not ls_entails(s, R(">=", {0: 1}, -1))
-        assert ls_entails(store(1, R(">=", {0: 1}, -1)), R(">", {0: 1}, 0))
+        assert ls_entails(store(R(">=", {0: 1}, -1)), R(">", {0: 1}, 0))
 
     def test_chained_decrement(self):
         # D0 = 5 and D1 = D0 - 1 pin D1 = 4
-        s = store(2, R("=", {0: 1}, -5), R("=", {1: 1, 0: -1}, 1))
+        s = store(R("=", {0: 1}, -5), R("=", {1: 1, 0: -1}, 1))
         assert ls_entails(s, R("=", {1: 1}, -4))
         assert not ls_entails(s, R("=", {1: 1}, -5))
 
     def test_empty_store_entails_everything(self):
-        s = store(1, R("=", {0: 1}, -1), R("=", {0: 1}, -2))
+        s = store(R("=", {0: 1}, -1), R("=", {0: 1}, -2))
         assert ls_entails(s, R("=", {0: 1}, -7))
         assert ls_entails(s, FALSE_ROW)
 
@@ -182,7 +164,7 @@ class TestFeasibilityDifferential:
         ]
         for ineqs in ineq_sets:
             for order in itertools.permutations(pins + ineqs):
-                s = store(4)
+                s = store()
                 for r in order:
                     s = ls_add(s, r)
                     assert ls_is_empty(s) == (not fm_feasible(s.rows)), order
@@ -190,26 +172,6 @@ class TestFeasibilityDifferential:
                     assert all(any(d == 3 for d, _ in r[1]) for r in s.ineqs)
                 q = R("<", {3: 1}, 0)
                 assert ls_entails(s, q) == fm_entails(s.rows, q), order
-
-
-# ----------------------------------------------------------- dim growth
-
-class TestDimensionGrowth:
-    def test_growing_dims_preserves_satisfiability(self):
-        rng = random.Random(21)
-        for _ in range(120):
-            s = random_store(rng, dims=3)
-            s2 = ls_grow(s, s.dims + 1)
-            assert ls_is_empty(s2) == ls_is_empty(s)
-            assert s2.rows == s.rows
-
-    def test_growing_dims_preserves_entailment(self):
-        rng = random.Random(22)
-        for _ in range(120):
-            s = random_store(rng, dims=3)
-            c = random_row(rng, 3)
-            s2 = ls_grow(s, 6)
-            assert ls_entails(s2, c) == ls_entails(s, c)
 
 
 # ----------------------------------------------------------------- meet
@@ -220,16 +182,16 @@ class TestMeet:
         for _ in range(60):
             s = random_store(rng, dims=3)
             m = ls_meet(ls_new(), [s, s])
-            assert m.rows == s.rows and m.dims == s.dims
+            assert m.rows == s.rows
 
     def test_meet_of_bounds_pins_the_value(self):
-        a = store(1, R(">=", {0: 1}, -1))
-        b = store(1, R("<=", {0: 1}, -1))
+        a = store(R(">=", {0: 1}, -1))
+        b = store(R("<=", {0: 1}, -1))
         assert ls_entails(ls_meet(ls_new(), [a, b]), R("=", {0: 1}, -1))
 
     def test_meet_of_disjoint_bounds_is_empty(self):
-        a = store(1, R(">=", {0: 1}, -1))
-        b = store(1, R("<=", {0: 1}, 0))
+        a = store(R(">=", {0: 1}, -1))
+        b = store(R("<=", {0: 1}, 0))
         assert ls_is_empty(ls_meet(ls_new(), [a, b]))
 
     def test_meet_commutes_up_to_equivalence(self):
@@ -243,10 +205,9 @@ class TestMeet:
                 assert stores_equivalent(ab, ba)
 
     def test_meet_takes_the_wider_dim_space(self):
-        a = store(2, R("=", {0: 1}, 0))
-        b = store(4, R("=", {3: 1}, -1))
+        a = store(R("=", {0: 1}, 0))
+        b = store(R("=", {3: 1}, -1))
         m = ls_meet(ls_new(), [a, b])
-        assert m.dims == 4
         assert ls_entails(m, R("=", {3: 1}, -1))
 
 
@@ -255,7 +216,7 @@ class TestMeet:
 def chain(links, k, x0=None, extra=None):
     """X_{i+1} = X_i + k for `links` links, X_0 = x0 if given; `extra`
     maps a link index to rows told just before that link."""
-    s = ls_grow(ls_new(), links + 1)
+    s = ls_new()
     if x0 is not None:
         s = ls_add(s, R("=", {0: 1}, -x0))
     for i in range(links):
@@ -345,25 +306,20 @@ def _project_all(s, dims_):
 
 class TestProjection:
     def test_projecting_the_only_constraint_gives_universe(self):
-        s = store(1, R("=", {0: 1}, -5))
+        s = store(R("=", {0: 1}, -5))
         p = ls_project(s, 0)
         assert p.rows == ()
-        assert p.dims == s.dims
 
     def test_projection_keeps_transitive_consequences(self):
         # D0 = D1 and D1 = 3, projecting D1, still pins D0 = 3
-        s = store(2, R("=", {0: 1, 1: -1}, 0), R("=", {1: 1}, -3))
+        s = store(R("=", {0: 1, 1: -1}, 0), R("=", {1: 1}, -3))
         p = ls_project(s, 1)
         assert ls_entails(p, R("=", {0: 1}, -3))
         assert not ls_entails(p, R("=", {1: 1}, -3))
 
-    def test_projection_requires_allocated_dim(self):
-        with pytest.raises(UnallocatedDimensionError):
-            ls_project(store(1), 3)
-
     def test_strictness_survives_elimination(self):
         # D0 > D1 and D1 >= 2 project D1 to D0 > 2
-        s = store(2, R(">", {0: 1, 1: -1}, 0), R(">=", {1: 1}, -2))
+        s = store(R(">", {0: 1, 1: -1}, 0), R(">=", {1: 1}, -2))
         p = ls_project(s, 1)
         assert ls_entails(p, R(">", {0: 1}, -2))
         assert not ls_entails(p, R(">=", {0: 1}, -3))
@@ -387,7 +343,7 @@ class TestProjection:
             s = random_store(rng, dims=3, max_rows=4)
             sub = list(s.rows)
             rng.shuffle(sub)
-            weaker = store(3, *sub[:rng.randint(0, len(sub))])
+            weaker = store(*sub[:rng.randint(0, len(sub))])
             x = rng.randrange(3)
             ps, pw = ls_project(s, x), ls_project(weaker, x)
             assert all(ls_entails(ps, r) for r in pw.rows)
@@ -474,7 +430,7 @@ class TestIntArithmetic:
 
         saved, linear._Simplex = linear._Simplex, Recorded
         try:
-            s, solved = store(5), {}
+            s, solved = store(), {}
             for raw in raws:
                 r = row(*raw)
                 if r is None or r in s.rows or ls_is_empty(s):
@@ -528,6 +484,6 @@ class TestCanonicalRows:
         assert row("=", {0: Fraction(0)}, Fraction(0)) is None
 
     def test_dump_is_readable(self):
-        s = store(2, R("=", {0: 1}, -5), R("=", {1: 1, 0: -1}, 1))
+        s = store(R("=", {0: 1}, -5), R("=", {1: 1, 0: -1}, 1))
         assert dump_lin(s) == ["D_0 = 5", "D_0 - D_1 = 1"]
         assert dump_row(R("<=", {0: 2, 1: 4}, -6)) == "D_0 + 2*D_1 <= 3"

@@ -364,12 +364,28 @@ class TestSnapshots:
             tell(s, 0, C("Z <= 5"))
         tell(widened, 0, C("X + 1 = Y + 1"))  # a dimension, no row
         assert widened.lin.rows == base.lin.rows
-        assert widened.lin.dims == 2 and same1.lin.dims == 1
+        assert widened.counts()["dims"] == 2 and same1.counts()["dims"] == 1
         (told,) = same1.lin.rows[len(base.lin.rows):]
         out = Store.merge(base, snaps)
         assert out.lin.rows == base.lin.rows + (told,)
         assert out.counts()["dims"] == 2
         assert ask(out, 0, C("Z <= 5")) and ask(out, 0, C("X = Y"))
+
+    def test_a_snapshot_counts_its_own_dimensions_not_a_siblings(self):
+        # like registers, dims is a length: one past the highest dimension
+        # that the snapshot or its ancestors allocated
+        base = Store.new(["X", "Y", "N"])
+        tell(base, 0, C("N >= 0"))  # N gets dimension 0
+        s1, s2 = base.branch(), base.branch()
+        tell(s1, 0, C("X = N + 1"))  # X gets dimension 1
+        tell(s2, 0, C("Y = N + 2"))  # Y gets dimension 2
+        tell(s1, 0, C("X >= 0"))  # a row over its own dimensions only
+        assert base.counts()["dims"] == 1
+        assert s1.counts()["dims"] == 2 and s2.counts()["dims"] == 3
+        assert '"dims":2,' in s1.dump()
+        out = Store.merge(base, [s1, s2])
+        assert out.counts()["dims"] == out.base.next_dim == 3
+        assert ask(out, 0, C("Y = X + 1"))
 
 
 # ------------------------------------------------- snapshot isolation
@@ -565,15 +581,16 @@ def a_lone(kind):
         base = Store.new(["X", "Y", "T", "N", "M"])
         tell(base, 0, C("X = [a | T]"))
         tell(base, 0, C("N >= 0"))  # N gets dimension 0
+        if kind == "dims":
+            tell(base, 0, C("Y = M"))  # linked, so one dimension serves both
         idle, snap = base.branch(), base.branch()
         ask(idle, 0, C("X = [a | _]"))
         if kind == "step_false":
             tell(snap, 0, C("X = b"))
         elif kind == "empty_scope":  # a call without formals
             snap.add_scope(PROC_CALL, 0, {}, label="z")
-        elif kind == "dims":
-            tell(base.branch(), 0, C("M = 1"))  # dimension 1, dropped
-            tell(snap, 0, C("N + 1 = N + 1"))  # grows, tells no row
+        elif kind == "dims":  # Y gets dimension 1 and tells no row
+            tell(snap, 0, C("Y + 1 = M + 1"))
         elif kind == "ref_to_own_binding":
             s1, s2 = snap.branch(), snap.branch()
             tell(s1, 0, C("T = a"))
