@@ -66,15 +66,15 @@ def row(op, coeffs, const):
 
 
 def _negate(r):
-    """Rows for the negation of a row: list of (op, coeffs_dict, const) cases."""
+    """Rows whose disjunction negates r, a canonical row with coefficients;
+    negating a canonical row's numbers keeps it canonical."""
     op, coeffs, const = r
-    pos = dict(coeffs)
-    neg = {d: -c for d, c in coeffs}
+    neg = tuple((d, -c) for d, c in coeffs)
     if op == "<=":  # not(e <= 0)  is  -e < 0
         return [("<", neg, -const)]
     if op == "<":  # not(e < 0)  is  -e <= 0
         return [("<=", neg, -const)]
-    return [("<", pos, const), ("<", neg, -const)]  # e<0 or e>0
+    return [("<", coeffs, const), ("<", neg, -const)]  # e<0 or e>0
 
 
 # ------------------------------------------------------------ feasibility
@@ -346,24 +346,13 @@ def ls_is_empty(s):
 
 def ls_entails(s, r):
     """Does every solution of the store satisfy the row? Pure, memoized."""
-    if r is None:
-        return True
-    if s.empty:
+    if r is None or s.empty:
         return True
     hit = s._memo.get(r)
-    if hit is not None:
-        return hit
-    ans = True
-    for op, coeffs, const in _negate(r):
-        neg = row(op, coeffs, const)
-        if neg is None:
-            ans = False
-            break
-        if neg is not FALSE_ROW and _feasible(s.ineqs + (neg,), s.solved):
-            ans = False
-            break
-    s._memo[r] = ans
-    return ans
+    if hit is None:
+        hit = s._memo[r] = r != FALSE_ROW and not any(
+            _feasible(s.ineqs + (neg,), s.solved) for neg in _negate(r))
+    return hit
 
 
 def ls_meet(base, lins):

@@ -8,7 +8,9 @@ and locals only. Registers hold stream structure: an unbound cell is
 rewritten in place to a functor when first told a cons cell, with its
 head and tail freshly allocated at adjacent positions. Numeric variables
 become DiscreteVar cells pointing at linear-store dimensions; dimensions
-are allocated lazily, on first use in a linear constraint.
+are allocated lazily, on first use in a linear constraint. One walk,
+`_unify`, serves stream tells, merge replay and stream asks: an ask is a
+tell that would add no information, and it writes nothing.
 
 Tells, asks and call actuals have one calling convention: a code and
 its environment, the tuple of the registers of the names in scope, one
@@ -78,9 +80,9 @@ def functor_cell(head):
 
 
 def _leaf_rule(ca, cb):
-    """The const/dvar rule for two bound cells that are not both functors:
-    True when they are equal, False on a clash, else the linear row that
-    their equality needs."""
+    """The const/dvar rule of the one walk (tell, replay and ask) for two
+    bound cells that are not both functors: True when they are equal,
+    False on a clash, else the linear row that their equality needs."""
     if ca[0] == "const" and cb[0] == "const":
         return ca[1] == cb[1]
     if ca[0] == "dvar" and cb[0] == "dvar":
@@ -458,16 +460,19 @@ class Store:
 
     # ------------------------------------------------------- unification
 
-    def _unify(self, idx, rhs, env=None):
-        """Tell-mode: unify register idx with another register, with a
-        cell value other than a ref (merge replay), or, given env, with a
-        compiled term over env. The walk keeps an explicit stack and pushes
-        tails before heads, so its effects come in the order of a preorder
-        walk; a clash latches inconsistency and skips the rest of its cell.
+    def _unify(self, idx, rhs, env=None, ask=False):
+        """Unify register idx with another register, with a cell value other
+        than a ref (merge replay), or, given env, with a compiled term over
+        env. With `ask` (and env) the walk writes nothing: it returns False
+        wherever a tell would bind a register, latch a clash or add a row
+        that the linear store does not entail, and True otherwise. The walk
+        keeps an explicit stack and pushes tails before heads, so its
+        effects come in the order of a preorder walk; a clash latches
+        inconsistency and skips the rest of its cell.
         """
         if env is not None:
             if rhs is None:
-                return
+                return True
             rhs = env[rhs] if isinstance(rhs, int) else rhs
         stack = [(idx, rhs, None)]
         while stack:
@@ -479,18 +484,22 @@ class Store:
                 if a == b:
                     continue
             elif t[0] == "cons":
-                if ca == UNBOUND and not (t[3] and self._reaches(
+                if ca == UNBOUND and not ask and not (t[3] and self._reaches(
                         [env[s] for s in t[3]], a)):
                     ca = functor_cell(self._alloc_cell(UNBOUND))
                     self._alloc_cell(UNBOUND)  # tail at head + 1
                     self._set(a, ca)
                 if ca[0] != "functor":
+                    if ask:
+                        return False
                     self.step_false = True
                     continue
                 stack += [(h, env[p] if isinstance(p, int) else p, None)
                           for h, p in ((ca[1] + 1, t[2]), (ca[1], t[1]))
                           if p is not None]
                 continue
+            if ask and (ca == UNBOUND or t == UNBOUND):
+                return False  # a tell would bind a register
             if ca == UNBOUND:
                 if b is not None and t == UNBOUND:
                     self._set(max(a, b), ref_cell(min(a, b)))
@@ -517,42 +526,14 @@ class Store:
                 stack.append((ca[1], t[1], seen))
             else:
                 r = _leaf_rule(ca, t)
-                if r is False:
+                if ask:
+                    if r is False or r is not True and not ls_entails(
+                            self.lin, r):
+                        return False
+                elif r is False:
                     self.step_false = True
                 elif r is not True:
                     self._add_row(r)
-
-    def _entailed(self, idx, rhs, env):
-        """Ask-mode: does the store entail that register idx equals rhs, a
-        compiled term over env? Pure; walks like `_unify`."""
-        if rhs is None:
-            return True
-        stack = [(idx, env[rhs] if isinstance(rhs, int) else rhs)]
-        seen = set()
-        while stack:
-            i, t = stack.pop()
-            a, ca = self._deref(i)
-            if isinstance(t, int):
-                b, t = self._deref(t)
-                if a == b:
-                    continue
-            elif t[0] == "cons":
-                if ca[0] != "functor":
-                    return False
-                stack += [(h, env[p] if isinstance(p, int) else p)
-                          for h, p in ((ca[1] + 1, t[2]), (ca[1], t[1]))
-                          if p is not None]
-                continue
-            if ca[0] == "functor" and t[0] == "functor":  # t is cell b's
-                key = (a, b) if a < b else (b, a)
-                if key not in seen:
-                    seen.add(key)
-                    stack.append((ca[1] + 1, t[1] + 1))
-                    stack.append((ca[1], t[1]))
-                continue
-            r = _leaf_rule(ca, t)
-            if r is False or r is not True and not ls_entails(self.lin, r):
-                return False
         return True
 
     # ----------------------------------------------------- linear support
@@ -598,7 +579,7 @@ class Store:
         if self.step_false or self.lin.empty:
             return True
         if c[0] == STREAM:
-            return self._entailed(env[c[1]], c[2], env)
+            return self._unify(env[c[1]], c[2], env, ask=True)
         if c[0] == LIN:
             resolved = self._resolve(c, env, allocate=False)
             return resolved is not None and ls_entails(self.lin,

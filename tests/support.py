@@ -18,7 +18,8 @@ from tccp.linear import (
     FALSE_ROW, dump_lin, ls_add, ls_entails, ls_meet, ls_new, row,
 )
 from tccp.store import (
-    _CELL_FIELD, _cell_arg, _overlaid, compile_actual, compile_constraint,
+    STREAM, _CELL_FIELD, _cell_arg, _leaf_rule, _overlaid, compile_actual,
+    compile_constraint,
 )
 
 
@@ -44,6 +45,53 @@ def ask(st, scope, c):
 def actual(st, a, scope):
     """The register of a formal whose actual, read in scope, is a."""
     return st.actual_cell(*_code(st, scope, a, compile_actual))
+
+
+def reference_ask(st, scope, c):
+    """`ask`, but a stream ask that gets past the guard of `Store.entails`
+    is answered by `reference_entailed`."""
+    code, env = _code(st, scope, c, compile_constraint)
+    if code[0] != STREAM or st.step_false or st.lin.empty:
+        return st.entails(code, env)
+    return reference_entailed(st, env[code[1]], code[2], env)
+
+
+# `Store._entailed` as it was when the ask had a walk of its own, the
+# reference for the differential test of the one walk that now serves
+# tell, replay and ask; only the name is changed, and `self` is the store.
+
+def reference_entailed(self, idx, rhs, env):
+    """Ask-mode: does the store entail that register idx equals rhs, a
+    compiled term over env? Pure; walks like `_unify`."""
+    if rhs is None:
+        return True
+    stack = [(idx, env[rhs] if isinstance(rhs, int) else rhs)]
+    seen = set()
+    while stack:
+        i, t = stack.pop()
+        a, ca = self._deref(i)
+        if isinstance(t, int):
+            b, t = self._deref(t)
+            if a == b:
+                continue
+        elif t[0] == "cons":
+            if ca[0] != "functor":
+                return False
+            stack += [(h, env[p] if isinstance(p, int) else p)
+                      for h, p in ((ca[1] + 1, t[2]), (ca[1], t[1]))
+                      if p is not None]
+            continue
+        if ca[0] == "functor" and t[0] == "functor":  # t is cell b's
+            key = (a, b) if a < b else (b, a)
+            if key not in seen:
+                seen.add(key)
+                stack.append((ca[1] + 1, t[1] + 1))
+                stack.append((ca[1], t[1]))
+            continue
+        r = _leaf_rule(ca, t)
+        if r is False or r is not True and not ls_entails(self.lin, r):
+            return False
+    return True
 
 
 def _cell_doc(cell):

@@ -55,6 +55,17 @@ class TestSynchrony:
         assert t[-1].status == "quiescent"
         assert holds(t[1], "X = 3")
 
+    def test_first_numeric_tells_in_parallel_get_a_dimension_each(self):
+        # docs/accounting.md: each branch allocates a dimension for the
+        # fresh M, and the merge equates the second with the first
+        t = trace_of("tell(M >= 1) || tell(M <= 3)")
+        assert [el.status for el in t] == ["running", "quiescent"]
+        assert t[-1].store.dump() == (
+            '{"consistent":true,"nodes":1,"registers":1,"dims":2,'
+            '"scopes":[{"id":0,"parent":null,"kind":"root","label":"",'
+            '"symbols":{"M":0}}],"memory":[{"kind":"dvar","dim":0}],'
+            '"lin":["-D_0 <= -1","D_1 <= 3","D_0 - D_1 = 0"]}')
+
     def test_conflicting_same_instant_tells_fail(self):
         t = trace_of("tell(X = 1) || tell(X = 2)")
         assert [el.status for el in t] == ["running", "failed"]

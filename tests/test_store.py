@@ -14,7 +14,8 @@ from tccp.errors import UnknownSymbolError
 from tccp.parser import parse_constraint
 from tccp.store import DumpMemo, EXISTS, PROC_CALL, Store, UNBOUND
 from support import (
-    actual, ask, check_parameter_law, dump_doc, replay_merge, tell,
+    actual, ask, check_parameter_law, dump_doc, reference_ask, replay_merge,
+    tell,
 )
 
 
@@ -230,8 +231,10 @@ class TestEntails:
         tell(st, 0, C("Y = 3"))
         before = json.dumps(dump_doc(st), sort_keys=True)
         counters = (st.base.next_cell, len(st.base.scopes), st.base.next_dim)
+        # a tell of "T = [a | _]" would allocate a head and a tail
         for probe in ("X = [on | _]", "X = [off | _]", "Y > 1", "Y = 9",
-                      "T = a", "X = Y", "Z' + Y = 3"):
+                      "T = a", "X = Y", "Z' + Y = 3", "T = [a | _]",
+                      "X = [on | [b | _]]"):
             try:
                 ask(st, 0, C(probe))
             except UnknownSymbolError:
@@ -239,6 +242,24 @@ class TestEntails:
         assert json.dumps(dump_doc(st), sort_keys=True) == before
         assert (st.base.next_cell, len(st.base.scopes),
                 st.base.next_dim) == counters
+
+    @settings(max_examples=200, deadline=None)
+    @given(strat.data())
+    def test_stream_asks_answer_as_the_reference_walk(self, data):
+        # the one walk in ask mode against the ask's own walk that it
+        # replaced, on stores built by tells and merges; asked are the
+        # equations between two names, the stream ones told, those again
+        # with numbers for the numeric names, and new ones
+        ops = data.draw(ASK_SCRIPT)
+        st = run_script(Store.new(NAMES), ops, Store.merge)
+        told = [t[1] for op in ops
+                for t in ([op] if op[0] == "tell" else sum(op[1], []))
+                if t[1] not in NUMERIC]
+        told += [text.translate(VALUES) for text in told]  # X = [3 | _]
+        before = compact(st), st.base.next_cell, st.base.next_dim
+        for text in NAME_PAIRS + told + data.draw(strat.lists(ASK_EQS)):
+            assert ask(st, 0, C(text)) == reference_ask(st, 0, C(text)), text
+        assert (compact(st), st.base.next_cell, st.base.next_dim) == before
 
     def test_rational_values_round_trip_in_dump(self):
         st = Store.new()
@@ -670,6 +691,38 @@ TELLS = ["X = Y", "Y = T", "T = U", "X = U", "Y = a", "T = a", "U = b",
 BINDINGS = TELLS[:7]
 SCOPED = ["L = X", "L = [a | Y]", "X = [L | _]", "L = N + 1", "T = [L | L]",
           "L = U"]
+
+
+# stream equations over stream and numeric names: shared substructure,
+# `_` positions, refs, unbound pairs, and atom, number and dvar leaves
+STREAMS, NUMBERS = ["X", "Y", "T", "U"], ["N", "M", "K"]
+NAMES = STREAMS + NUMBERS
+
+
+def lists_of(leaves):
+    terms = strat.recursive(
+        strat.sampled_from(leaves),
+        lambda terms: strat.builds("[{} | {}]".format, terms, terms),
+        max_leaves=4)
+    return strat.builds("[{} | {}]".format, terms, terms)
+
+
+ASK_EQS = strat.builds("{} = {}".format, strat.sampled_from(NAMES),
+                       strat.one_of(strat.sampled_from(NAMES + ["_", "a"]),
+                                    lists_of(NAMES + ["_", "a", "b", "3"])))
+# N = 3, M = 4 and K = 3 once all are told
+NUMERIC = ["N = 3", "M = N + 1", "N > 1", "M >= 2", "N + M = 7", "K = N",
+           "K >= 3"]
+VALUES = str.maketrans({"N": "3", "M": "4", "K": "3"})
+NAME_PAIRS = [f"{x} = {y}" for x in NAMES for y in NAMES if x < y]
+ASK_TELL = strat.tuples(strat.just("tell"), strat.one_of(
+    strat.builds("{} = {}".format, strat.sampled_from(STREAMS),
+                 lists_of(NAMES + ["_", "a"])).filter(
+        lambda eq: eq[0] not in eq[1:]),  # not a cycle by itself
+    strat.sampled_from(NUMERIC + ["X = Y", "T = U"])))
+ASK_SCRIPT = strat.lists(strat.one_of(ASK_TELL, strat.tuples(
+    strat.just("par"), strat.lists(strat.lists(ASK_TELL, max_size=3),
+                                   min_size=1, max_size=3))), max_size=6)
 
 
 def scripts_of(tells):
