@@ -9,11 +9,12 @@ store does not count them, whoever allocates them does.
 
 Satisfiability is decided exactly over the rationals. Each store keeps
 its equalities in a solved form that grows by at most one pivot per told
-equality; the inequalities, reduced through it, go through a two-phase
-dictionary simplex with Bland's rule, and only when some of them still
-have variables. Strict systems are decided by maximizing a common slack
-margin: the system has a solution iff its non-strict relaxation does and
-the margin's supremum is positive. Projection uses Fourier-Motzkin
+equality; the inequalities, reduced through it, go to the general
+simplex check of Dutertre & de Moura (CAV 2006), and only when some of
+them still have variables. There each row bounds a slack variable from
+above, dimensions are free, and a strict row's bound is lowered by an
+infinitesimal δ, so strict and non-strict rows are decided in one pass;
+Bland's rule picks every pivot. Projection uses Fourier-Motzkin
 elimination with strictness propagation. Numbers are ints where they are
 integral and Fractions where a pivot other than +-1 divides or in the
 simplex; answers never depend on floating point.
@@ -127,99 +128,70 @@ def _absorb(solved, r):
 
 
 class _Simplex:
-    """Dictionary simplex for `M y <= d, y >= 0` with Bland's rule."""
+    """The general simplex check of Dutertre & de Moura (CAV 2006).
 
-    def __init__(self, mat, rhs, ncols):
-        self.ncols = ncols
-        self.nrows = len(mat)
-        # x_{slack i} = rhs_i - sum mat_i[j] y_j
-        self.rows = {}
-        for i, (coeffs, b) in enumerate(zip(mat, rhs)):
-            self.rows[ncols + i] = (Fraction(b), {j: Fraction(-c) for j, c in coeffs.items() if c})
+    Row i, `sum c*D + k op 0`, gets the slack `-1-i` = `sum c*D`, which
+    starts basic, with the upper bound `-k`, or `-k - δ` when the row is
+    strict. A value or bound is a pair `(a, b)` meaning `a + b*δ` for a
+    positive infinitesimal δ, so pairs compare as tuples. Dimensions are
+    free. `rows` maps each basic variable to its {nonbasic: coef} and
+    `value` holds the assignment, which nonbasic variables keep within
+    their bounds.
+    """
 
-    def _pivot(self, leave, enter):
-        const, coeffs = self.rows.pop(leave)
-        a = coeffs.pop(enter)
-        # solve for x_enter
-        nconst = -const / a
-        ncoeffs = {leave: Fraction(1) / a}
-        for j, c in coeffs.items():
-            ncoeffs[j] = -c / a
-        self.rows[enter] = (nconst, ncoeffs)
-        for b, (rc, rcs) in list(self.rows.items()):
-            if b == enter:
-                continue
-            f = rcs.pop(enter, None)
-            if f is None or f == 0:
-                continue
-            nc = rc + f * nconst
-            out = dict(rcs)
-            for j, c in ncoeffs.items():
-                out[j] = out.get(j, Fraction(0)) + f * c
-            self.rows[b] = (nc, {j: c for j, c in out.items() if c != 0})
+    def __init__(self, live):
+        # _reduce made each row's coefficient dict, so the tableau takes it
+        self.rows = {-1 - i: coeffs for i, (_, coeffs, _) in enumerate(live)}
+        self.bound = {-1 - i: (-k, -1 if op == "<" else 0)
+                      for i, (op, _, k) in enumerate(live)}
+        self.value = dict.fromkeys(
+            (*self.rows, *(d for e in self.rows.values() for d in e)), (0, 0))
 
-    def _sub_objective(self, obj_coeffs):
-        const = Fraction(0)
-        coeffs = {}
-        for j, c in obj_coeffs.items():
-            if j in self.rows:
-                rc, rcs = self.rows[j]
-                const += c * rc
-                for k, ck in rcs.items():
-                    coeffs[k] = coeffs.get(k, Fraction(0)) + c * ck
-            else:
-                coeffs[j] = coeffs.get(j, Fraction(0)) + c
-        return const, {j: c for j, c in coeffs.items() if c != 0}
+    def _pivot(self, b, j):
+        """Make nonbasic `j` basic in place of `b`, moving `j` so that `b`
+        sits at its bound."""
+        rows, value = self.rows, self.value
+        expr = rows.pop(b)
+        inv = Fraction(1) / expr.pop(j)  # never an int / int
+        (u, ud), (v, vd) = self.bound[b], value[b]
+        tu, td = (u - v) * inv, (ud - vd) * inv
+        x, xd = value[j]
+        value[j], value[b] = (x + tu, xd + td), self.bound[b]
+        # j = inv*b - sum inv*c*k; every row that mentions j moves with it
+        new = {k: -c * inv for k, c in expr.items()}
+        new[b] = inv
+        for r, e in rows.items():
+            f = e.pop(j, None)
+            if f is not None:
+                x, xd = value[r]
+                value[r] = (x + f * tu, xd + f * td)
+                for k, c in new.items():
+                    c = e.get(k, 0) + f * c
+                    if c:
+                        e[k] = c
+                    else:
+                        del e[k]
+        rows[j] = new
 
-    def _maximize(self, const, coeffs):
+    def solve(self):
+        """True iff some assignment keeps every variable within its bound.
+
+        Each round repairs the smallest basic variable above its bound
+        with the smallest nonbasic one that can lower it (Bland's rule,
+        which ends the loop).
+        """
+        rows, bound, value = self.rows, self.bound, self.value
         while True:
-            enter = None
-            for j in sorted(coeffs):
-                if coeffs[j] > 0:
-                    enter = j
-                    break
-            if enter is None:
-                return ("optimal", const)
-            leave, best = None, None
-            for b in sorted(self.rows):
-                rc, rcs = self.rows[b]
-                a = rcs.get(enter, Fraction(0))
-                if a < 0:
-                    ratio = -rc / a
-                    if best is None or ratio < best:
-                        best, leave = ratio, b
-            if leave is None:
-                return ("unbounded", None)
-            self._pivot(leave, enter)
-            dconst, coeffs = self._sub_objective(coeffs)
-            const += dconst
-
-    def solve(self, objective_col=None):
-        """Returns ('infeasible', None), ('optimal', value) or ('unbounded', None)."""
-        if any(rc < 0 for rc, _ in self.rows.values()):
-            aux = self.ncols + self.nrows
-            for b, (rc, rcs) in list(self.rows.items()):
-                rcs = dict(rcs)
-                rcs[aux] = Fraction(1)
-                self.rows[b] = (rc, rcs)
-            worst = min(self.rows, key=lambda b: (self.rows[b][0], b))
-            self._pivot(worst, aux)
-            status, val = self._maximize(*self._sub_objective({aux: Fraction(-1)}))
-            if val != 0:
-                return ("infeasible", None)
-            if aux in self.rows:  # basic at zero: pivot out or drop the row
-                rc, rcs = self.rows[aux]
-                j = next((k for k in sorted(rcs) if rcs[k] != 0), None)
-                if j is None:
-                    del self.rows[aux]
-                else:
-                    self._pivot(aux, j)
-            for b, (rc, rcs) in list(self.rows.items()):
-                rcs.pop(aux, None)
-                self.rows[b] = (rc, rcs)
-        if objective_col is None:
-            return ("optimal", Fraction(0))
-        return self._maximize(*self._sub_objective({objective_col: Fraction(1)}))
+            b = min((b for b in rows if b in bound and value[b] > bound[b]),
+                    default=None)
+            if b is None:
+                return True
+            j = min((j for j, c in rows[b].items()
+                     if c > 0 or j not in bound or value[j] < bound[j]),
+                    default=None)
+            if j is None:
+                return False
+            self._pivot(b, j)
 
 
 def _feasible(rows, solved):
@@ -232,35 +204,7 @@ def _feasible(rows, solved):
             live.append((op, coeffs, const))
         elif not _holds(op, const):
             return False
-    if not live:
-        return True
-    dims = sorted({d for _, coeffs, _ in live for d in coeffs})
-    # free x_d = u - v with u, v >= 0; one strict margin column for all rows
-    col = {}
-    for d in dims:
-        col[d] = len(col) * 2
-    eps = len(col) * 2
-    has_strict = any(op == "<" for op, _, _ in live)
-    mat, rhs = [], []
-    for op, coeffs, const in live:
-        r = {}
-        for d, c in coeffs.items():
-            r[col[d]] = c
-            r[col[d] + 1] = -c
-        if op == "<" and has_strict:
-            r[eps] = 1
-        mat.append(r)
-        rhs.append(-const)
-    ncols = eps + 1 if has_strict else eps
-    sx = _Simplex(mat, rhs, ncols)
-    if not has_strict:
-        return sx.solve()[0] != "infeasible"
-    status, val = sx.solve(objective_col=eps)
-    if status == "infeasible":
-        return False
-    if status == "unbounded":
-        return True
-    return val > 0
+    return not live or _Simplex(live).solve()
 
 
 # -------------------------------------------------------------- the store
@@ -285,15 +229,6 @@ class LinStore:
         self.ineqs = ineqs
         self.empty = empty
         self._memo = {}
-
-    def __eq__(self, other):
-        return isinstance(other, LinStore) and self.rows == other.rows
-
-    def __hash__(self):
-        return hash(self.rows)
-
-    def __repr__(self):
-        return f"LinStore(rows={len(self.rows)}, empty={self.empty})"
 
 
 # one empty store for all: stores are values, and its memo only caches answers

@@ -398,9 +398,6 @@ def o_step(config, policy, rng):
     """Advance one instant. Returns (moved, new config)."""
     if config.status != RUNNING:
         return False, config
-    if config.agent is None:
-        return False, OracleConfig(config.program, None, config.state,
-                                   config.clock, QUIESCENT)
     effects = []
     residual, moved = trans(config.program, config.agent, config.state,
                             policy, rng, effects)

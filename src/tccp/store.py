@@ -508,8 +508,6 @@ class Store:
                 else:
                     self._set(a, t if b is None else ref_cell(b))
             elif t == UNBOUND:
-                if b is None:
-                    continue  # a replayed unbound cell adds nothing
                 if self._reaches([ca], b):
                     self.step_false = True
                 else:

@@ -3,8 +3,8 @@
 The feasibility oracle here is deliberately a different algorithm from
 the implementation: plain Fourier-Motzkin elimination with equalities
 split into opposite inequalities, versus the package's solved form for
-equalities plus two-phase simplex on the reduced inequalities. The two
-must agree on every system.
+equalities plus a general simplex check on the reduced inequalities. The
+two must agree on every system.
 """
 
 from fractions import Fraction

@@ -5,9 +5,9 @@ import itertools
 import random
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from tccp import linear
+from tccp import linear, parse_program, run
 from tccp.linear import (
     FALSE_ROW, dump_lin, dump_row, ls_add, ls_entails, ls_is_empty,
     ls_meet, ls_new, ls_project, row,
@@ -172,6 +172,50 @@ class TestFeasibilityDifferential:
                     assert all(any(d == 3 for d, _ in r[1]) for r in s.ineqs)
                 q = R("<", {3: 1}, 0)
                 assert ls_entails(s, q) == fm_entails(s.rows, q), order
+
+
+ineq = st.tuples(
+    st.sampled_from(["<", "<="]),
+    st.dictionaries(st.integers(0, 5), st.integers(-3, 3), max_size=6),
+    st.one_of(st.just(0), st.integers(-3, 3)))  # often 0: degenerate rows
+
+
+class TestInequalityStores:
+    """Stores of inequalities alone, where every answer is the simplex's:
+    degenerate systems (many rows through the origin) and strict systems
+    whose margin is unbounded."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(ineq, max_size=8), st.lists(ineq, max_size=3))
+    @example([("<", {0: 1, 1: -1}, 0)],  # D0 < D1: margin unbounded
+             [("<=", {0: 1, 1: -1}, 0), ("<", {0: 1, 1: -1}, 1)])
+    @example([("<", {0: 1}, 0), ("<", {0: -1, 1: 1}, 0),
+              ("<=", {1: -1, 2: 1}, 0), ("<", {2: -1}, 0)], [])
+    def test_agree_with_elimination(self, raws, asks):
+        s = ls_new()
+        for op, coeffs, const in raws:
+            s = ls_add(s, R(op, coeffs, const))
+            assert ls_is_empty(s) == (not fm_feasible(s.rows)), s.rows
+        for op, coeffs, const in asks:
+            q = R(op, coeffs, const)
+            if q is not None:
+                assert ls_entails(s, q) == fm_entails(s.rows, q), (s.rows, q)
+
+    def test_the_bounded_window_answers_as_elimination(self):
+        # M_{k+1} in [M_k + 1, M_k + 3] from M_0 = 0: M_k lies in [k, 3k]
+        program = parse_program(
+            "c(N) :- now (N > 1000000) then skip else exists M "
+            "(tell(M >= N + 1) || tell(M <= N + 3) || c(M)).", entry="c(0)")
+        s = run(program, 12, every=0)[-1].store.lin
+        dims = sorted({d for r in s.rows for d, _ in r[1]})
+        assert not ls_is_empty(s) and len(dims) > 20
+        asks = [R(op, {d: 1}, k) for d in dims for op in ("<=", "<", ">=", ">")
+                for k in (-36, -35, -12, -11)]
+        asks += [R(op, {d: 1, e: -1}, k) for d, e in zip(dims, dims[1:])
+                 for op in ("<=", "<", ">=") for k in (-3, -1, 0, 1)]
+        answers = [ls_entails(s, q) for q in asks]
+        assert answers == [fm_entails(s.rows, q) for q in asks]
+        assert True in answers and False in answers
 
 
 # ----------------------------------------------------------------- meet
@@ -406,6 +450,11 @@ def floats_in(x):
     return found
 
 
+def tableaux(built):
+    """The rows, assignments and bounds of the simplex checks in `built`."""
+    return [(sx.rows, sx.value, sx.bound) for sx in built]
+
+
 class TestIntArithmetic:
     """The int arithmetic of `row`, `_reduce` and `_absorb` against the
     Fraction-only reference in support.py: the same canonical rows, the
@@ -424,9 +473,9 @@ class TestIntArithmetic:
         built = []
 
         class Recorded(linear._Simplex):
-            def solve(self, objective_col=None):
+            def solve(self):
                 built.append(self)
-                return super().solve(objective_col)
+                return super().solve()
 
         saved, linear._Simplex = linear._Simplex, Recorded
         try:
@@ -445,9 +494,9 @@ class TestIntArithmetic:
                     assert linear._reduce(coeffs, const, s.solved) == \
                         fraction_reduce(coeffs, const, solved)
                 assert not floats_in((s.solved, s.ineqs)), s.rows
-                assert not floats_in([sx.rows for sx in built]), s.rows
+                assert not floats_in(tableaux(built)), s.rows
                 ls_entails(s, R("<", {0: 1, 4: 2}, 1))  # one more simplex
-                assert not floats_in([sx.rows for sx in built]), s.rows
+                assert not floats_in(tableaux(built)), s.rows
         finally:
             linear._Simplex = saved
 

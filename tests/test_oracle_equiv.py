@@ -19,7 +19,7 @@ import pytest
 from tccp import ast
 from tccp.ast import pretty_constraint
 from tccp.interp import ChoicePolicy, run
-from tccp.oracle import o_run
+from tccp.oracle import o_initial, o_run, o_step
 from tccp.parser import parse_constraint, parse_program
 from support import (
     SPECIALISED, ProgramGen, ask, machine_observables, oracle_observables,
@@ -89,6 +89,51 @@ def test_the_innermost_equal_name_wins():
     assert final.status == "quiescent"
     for c in ("A = [x | _]", "B = [c | _]", "C = [b | _]"):
         assert ask(final.store, 0, parse_constraint(c)), c
+
+
+class TestNumericStreamEquations:
+    """A stream equation whose sides walk to a numeric variable and a
+    number, or to two numeric variables, is a linear equality. Each
+    equation waits an instant behind a `now`, so that its variables
+    already have dimensions when it is told."""
+
+    def test_between_two_numeric_variables(self):
+        program = parse_program(
+            "p(X, Y) :- tell(X >= 1) || tell(Y <= 3)"
+            " || now (X > 100) then skip else tell(X = Y).", entry="p(A, B)")
+        m, o = agree(program, 4)
+        assert m == o
+        final = run(program, 4)[-1]
+        assert final.status == "quiescent"
+        for c in ("A = B", "A <= 3", "B >= 1"):
+            assert ask(final.store, 0, parse_constraint(c)), c
+
+    def test_between_a_number_and_a_numeric_variable(self):
+        decls = ("p(F, Y) :- tell(Y >= 0) || now (Y > 100) then skip"
+                 " else tell(F = Y)."
+                 " q(F, Y) :- tell(Y >= 0) || now (Y > 100) then skip"
+                 " else tell(Y = F).")
+        finals = []
+        for entry in ("p(2, A) || q(5, B)", "p(2, A) || q(3, A)"):
+            program = parse_program(decls, entry=entry)
+            m, o = agree(program, 4)
+            assert m == o, entry
+            finals.append(run(program, 4)[-1])
+        good, clash = finals
+        assert (good.status, clash.status) == ("quiescent", "failed")
+        for c in ("A = 2", "B = 5"):
+            assert ask(good.store, 0, parse_constraint(c)), c
+
+
+def test_a_stopped_oracle_config_does_not_step():
+    program = parse_program("p(X) :- tell(X = a).", entry="p(A)")
+    policy = ChoicePolicy("first")
+    rng = policy.make_rng()
+    config = o_initial(program)
+    while config.status == "running":
+        _, config = o_step(config, policy, rng)
+    assert (config.status, config.agent) == ("quiescent", None)
+    assert o_step(config, policy, rng) == (False, config)
 
 
 @pytest.fixture(scope="module")
