@@ -74,7 +74,7 @@ def _jsonl_line(el, memo):
     """One jsonl line; `memo` is the run's `DumpMemo`."""
     head = json.dumps({"clock": el.clock, "status": el.status,
                        "agents": list(el.agents)}, separators=(",", ":"))
-    return head[:-1] + ',"store":' + el.store.dump(memo) + "}"
+    return "".join([head[:-1], ',"store":', el.store.dump(memo), "}"])
 
 
 def _text_block(el):

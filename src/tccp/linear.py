@@ -343,8 +343,6 @@ def ls_project(s, dim):
     rows = []
     for rop, rc, rconst in keep + out:
         r = row(rop, rc, rconst)
-        if r is FALSE_ROW:
-            return _told(ls_new(), (FALSE_ROW,))
         if r is not None and r not in rows:
             rows.append(r)
     return _told(ls_new(), tuple(rows))

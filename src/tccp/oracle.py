@@ -267,8 +267,6 @@ def sub_linexpr(e, mapping):
             acc = acc + ast.LinExpr.of_var(name).scaled(c)
         elif isinstance(m, ast.Var):
             acc = acc + ast.LinExpr.of_var(m.name).scaled(c)
-        elif isinstance(m, ast.Num):
-            acc = acc + ast.LinExpr.of_num(m.value * c)
         else:
             raise TypeError(f"bad mapping target: {m!r}")
     return acc

@@ -44,7 +44,10 @@ Only `seal()` writes the base list of registers: it folds the view into
 it in place, in O(this instant's changes), and so invalidates every other
 store over the same base, the sealed store's own ancestors and siblings
 included. A store that must outlive the next seal is copied first with
-`frozen()`, which costs O(store).
+`frozen()`, which costs O(store). `seal()` also appends the indices it
+folds to the run's change log, and a frozen copy keeps the log's length,
+so a `DumpMemo` encodes again only the registers logged between the
+store it printed last and the next.
 """
 
 from collections import namedtuple
@@ -149,16 +152,18 @@ def compile_actual(a, slots):
 class Base:
     """What every store of one run shares: the counters that keep register
     and dimension indices disjoint, the register list that `seal()` grows
-    in place, and the scope nodes, each at its id, that `add_scope`
-    appends."""
+    in place, the scope nodes, each at its id, that `add_scope` appends,
+    and the change log, the index of every register that `seal()` folded,
+    in order; `mark` is the log's length when `memory` was as it is."""
 
-    __slots__ = ("memory", "scopes", "next_cell", "next_dim")
+    __slots__ = ("memory", "scopes", "next_cell", "next_dim", "log", "mark")
 
     def __init__(self):
         self.memory = []
         self.scopes = []
         self.next_cell = 0
         self.next_dim = 0
+        self.log, self.mark = [], 0
 
 
 # one scope: built whole by `Store.add_scope` and never changed
@@ -245,38 +250,65 @@ def _node_text(node):
                   for name, idx in node.symbols.items()]))
 
 
-class DumpMemo:
-    """The text of each register and scope node as `Store.dump(memo)` last
-    rendered it, with what the slot held then. A slot is encoded again
-    only when it holds another object: cells are immutable tuples and
-    scope nodes are never changed once made, so the same object means the
-    same text. Kept across the dumps of one run, a dump costs one identity
-    check per slot plus the encoding of the slots written since the dump
-    before."""
+_BLOCK = 128  # registers per joined block of memory text
 
-    __slots__ = ("cells", "cell_text", "nodes", "node_text")
+
+class DumpMemo:
+    """What `Store.dump(memo)` last rendered: the text of each register,
+    joined in blocks of `_BLOCK` (each block after the first with a
+    leading comma), and the text of each scope node. For a store of the
+    same run without unsealed writes it encodes again only the registers
+    that the run's change log holds between its mark and the store's,
+    either way, plus those past its own length, and rejoins only their
+    blocks; otherwise every register. Scope nodes are never changed once
+    made, so their text only grows, unless the store holds other nodes."""
+
+    __slots__ = ("log", "mark", "cell_text", "blocks", "nodes", "node_text",
+                 "scopes", "n_scopes")
 
     def __init__(self):
-        # slot i held cells[i] (nodes[i]) when it was rendered as
-        # cell_text[i] (node_text[i]); a None cell is "null"
-        self.cells = []
-        self.cell_text = []
-        self.nodes = []
-        self.node_text = []
+        self.log, self.mark = None, 0  # the log it follows, its place
+        self.cell_text, self.blocks = [], []
+        self.nodes, self.node_text = [], []  # the scope nodes rendered
+        self.scopes, self.n_scopes = "", 0  # the first n_scopes, joined
 
+    def _registers(self, memory, log, mark):
+        """Bring the register texts to `memory`, the registers of a store
+        as they stood at `mark` in `log` (None: unsealed writes)."""
+        text, n = self.cell_text, len(memory)
+        top, nb, redo = min(n, len(text)), -(-n // _BLOCK), ()
+        if log is not None and log is self.log:
+            lo, hi = sorted((self.mark, mark))
+            redo = {i for i in log[lo:hi] if i < top}
+        else:
+            top = 0
+            del text[:]
+        self.log, self.mark = log, mark
+        dirty = {i // _BLOCK for i in redo}.union(range(top // _BLOCK, nb))
+        for i in redo:
+            text[i] = _cell_text(memory[i])
+        del text[n:], self.blocks[nb:]
+        text += map(_cell_text, memory[top:n])
+        blocks = self.blocks
+        blocks += [""] * (nb - len(blocks))
+        for k in dirty:
+            blocks[k] = ("," if k else "") + ",".join(
+                text[k * _BLOCK:(k + 1) * _BLOCK])
 
-def _memo_texts(held, text, items, render):
-    """The texts of `items`, one per slot, rendering only the slots whose
-    object is not the one `held` has; `held` and `text` are updated."""
-    k = len(items) - len(held)
-    if k > 0:
-        held.extend([None] * k)
-        text.extend(["null"] * k)
-    for i, x in enumerate(items):
-        if x is not held[i]:
-            held[i] = x
-            text[i] = render(x)
-    return text[:len(items)]
+    def _scopes(self, scopes, n):
+        nodes, text = self.nodes, self.node_text
+        k = min(n, len(nodes))
+        if k and scopes[k - 1] is not nodes[k - 1]:  # not the same nodes
+            del nodes[:], text[:]
+            self.scopes, self.n_scopes = "", 0
+        new = scopes[len(nodes):n]
+        nodes += new
+        text += map(_node_text, new)
+        if n > self.n_scopes > 0:
+            self.scopes += "," + ",".join(text[self.n_scopes:n])
+        elif n != self.n_scopes:
+            self.scopes = ",".join(text[:n])
+        self.n_scopes = n
 
 
 class Store:
@@ -337,24 +369,30 @@ class Store:
         return s
 
     def seal(self):
-        """Fold the view into the base's registers, in place. Every other
-        store over this base reads the result from now on, so none of them
-        is valid any more; this one stays valid, with nothing over the
-        base."""
-        _fold(self.base.memory, self.n_cells, self.inherited, self.write_log)
+        """Fold the view into the base's registers, in place, and append
+        their indices to the change log. Every other store over this base
+        reads the result from now on, so none of them is valid any more;
+        this one stays valid, with nothing over the base."""
+        base = self.base
+        _fold(base.memory, self.n_cells, self.inherited, self.write_log)
+        base.log += [*self.inherited, *self.write_log]
+        base.mark = len(base.log)
         self.inherited, self.write_log, self.view = {}, {}, None
         return self
 
     def frozen(self):
         """A copy that no later seal changes: O(store). It reads like this
         store, over a base of its own that cannot be sealed, with its own
-        copy of the scope nodes that it sees."""
+        copy of the scope nodes that it sees. Without unsealed writes it
+        shares the run's change log, at this store's mark."""
         s = self.branch()
         base = s.base = Base()
         base.memory = tuple(_overlaid(self.base.memory, s.inherited,
                                       self.n_cells))
         base.scopes = self.base.scopes[:self.n_nodes]
         base.next_cell, base.next_dim = self.base.next_cell, self.base.next_dim
+        if not s.inherited:  # as the run's memory stood at its mark
+            base.log, base.mark = self.base.log, self.base.mark
         s.inherited = {}
         return s
 
@@ -644,17 +682,15 @@ class Store:
         """The store as `docs/trace.md` describes it, as compact JSON text;
         a register that only a sibling snapshot allocated is rendered as
         null, and scopes are the run's first `n_nodes` nodes. Kept across
-        dumps, a `DumpMemo` encodes again only the slots that changed since
-        its previous dump."""
-        memo = memo or DumpMemo()
-        scopes = self.base.scopes[:self.n_nodes]
-        memory = _overlaid(self.base.memory, self._view(), self.n_cells)
-        return ('{"consistent":%s,"nodes":%d,"registers":%d,"dims":%d,'
-                '"scopes":[%s],"memory":[%s],"lin":[%s]}' % (
-                    "true" if self.is_consistent() else "false",
-                    self.n_nodes, self.n_cells, self.n_dims,
-                    ",".join(_memo_texts(memo.nodes, memo.node_text,
-                                         scopes, _node_text)),
-                    ",".join(_memo_texts(memo.cells, memo.cell_text,
-                                         memory, _cell_text)),
-                    ",".join(map(_json_str, dump_lin(self.lin)))))
+        dumps, a `DumpMemo` encodes again only the registers and nodes that
+        changed since its previous dump."""
+        memo, base, view = memo or DumpMemo(), self.base, self._view()
+        memo._registers(_overlaid(base.memory, view, self.n_cells),
+                        None if view else base.log, base.mark)
+        memo._scopes(base.scopes, self.n_nodes)
+        return "".join([
+            '{"consistent":%s,"nodes":%d,"registers":%d,"dims":%d,'
+            '"scopes":[' % ("true" if self.is_consistent() else "false",
+                            self.n_nodes, self.n_cells, self.n_dims),
+            memo.scopes, '],"memory":[', *memo.blocks, '],"lin":[',
+            ",".join(map(_json_str, dump_lin(self.lin))), "]}"])

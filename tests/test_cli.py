@@ -218,6 +218,13 @@ class TestExitCodes:
                            "--entry", "skip", "--steps", "-1")
         assert code == 1 and "--steps" in err
 
+    def test_negative_dump_every_exit_one(self, cli, empty_program):
+        code, out, err = cli("run", "--program", empty_program,
+                             "--entry", "skip", "--steps", "1",
+                             "--dump-every", "-1")
+        assert (code, out) == (1, "")
+        assert "--dump-every must be >= 0" in err
+
     def test_random_policy_requires_a_seed(self, cli, empty_program):
         code, _, err = cli("run", "--program", empty_program,
                            "--entry", "skip", "--steps", "1",

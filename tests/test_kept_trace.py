@@ -19,7 +19,7 @@ from tccp import cli, interp
 from tccp.cli import _jsonl_line
 from tccp.interp import ChoicePolicy, run
 from tccp.parser import parse_program
-from tccp.store import DumpMemo
+from tccp.store import DumpMemo, STREAM, _cell_text, _node_text, const_cell
 from support import FRACTIONAL, SPECIALISED, ProgramGen, dump_doc
 
 # _jsonl_line reads `json`, which tccp.cli binds on first use, as main does
@@ -154,17 +154,86 @@ def compact(store):
     return json.dumps(dump_doc(store), separators=(",", ":"))
 
 
+# the kept steps of a trace of k, in the orders one memo dumps them: as
+# `tccp run` does, backwards, and forwards twice (the memo's mark moves
+# back to the start and repeats every step)
+DUMP_ORDERS = {"forward": lambda k: range(k),
+               "reversed": lambda k: range(k - 1, -1, -1),
+               "forward twice": lambda k: [*range(k), *range(k)]}
+
+
 def test_a_run_memo_renders_each_kept_step_as_a_fresh_dump(generated):
-    """`dump(memo)` with one memo for the run, as `tccp run` uses it,
-    against json.dumps of the memo-free `dump()`."""
+    """`dump(memo)` with one memo for the run, against json.dumps of the
+    memo-free `dump()`, with the kept steps dumped in each of
+    `DUMP_ORDERS`."""
     for kind in POLICIES:
         for i, program in enumerate(generated):
             for every in (1, 3, 7):
-                memo = DumpMemo()
-                for el in run(program, 12, policy=policy_of(kind, i),
-                              every=every):
-                    assert el.store.dump(memo) == compact(el.store), \
-                        (kind, i, every, el.clock)
+                trace = run(program, 12, policy=policy_of(kind, i),
+                            every=every)
+                fresh = [compact(el.store) for el in trace]
+                for order, steps in DUMP_ORDERS.items():
+                    memo = DumpMemo()
+                    for k in steps(len(trace)):
+                        assert trace[k].store.dump(memo) == fresh[k], \
+                            (kind, i, every, order, trace[k].clock)
+
+
+def test_a_memo_dumps_a_live_snapshot_then_the_next_kept_store():
+    """A mid-instant snapshot's own writes are in no change log: the memo
+    that printed them renders the next kept store afresh, where the
+    snapshot's binding of Z is unbound and its new register is null."""
+    program = parse_program(
+        "walk(S, Z) :- exists T (tell(S = [a | T]) || walk(T, Z)).",
+        entry="walk(S, Z)")
+    policy = ChoicePolicy("first")
+    rng, config = policy.make_rng(), interp.initial_config(program)
+    memo = DumpMemo()
+    for _ in range(3):
+        config = interp.step(config, policy, rng)[1]
+        kept = config.store.frozen()
+        assert kept.dump(memo) == compact(kept)
+    snap = config.store.branch()
+    z = snap.lookup(0, "Z")
+    snap.add_constraint((STREAM, 0, const_cell("b")), (z,))
+    new = snap.new_cell()
+    assert snap.dump(memo) == compact(snap)
+    config = interp.step(config, policy, rng)[1]
+    kept = config.store.frozen()
+    assert kept.dump(memo) == compact(kept)
+    memory = json.loads(kept.dump(memo))["memory"]
+    assert (memory[z], memory[new]) == ({"kind": "unbound"}, None)
+
+
+def test_a_memo_renders_each_changed_register_once(monkeypatch, capsys):
+    """`tccp run --dump-every 1` on the photocopier encodes a register
+    once per line on which its cell differs from the line before (or is
+    new), and each scope node once."""
+    calls = {"cell": 0, "node": 0}
+
+    def counted(key, render):
+        def call(x):
+            calls[key] += 1
+            return render(x)
+        return call
+
+    monkeypatch.setattr("tccp.store._cell_text", counted("cell", _cell_text))
+    monkeypatch.setattr("tccp.store._node_text", counted("node", _node_text))
+    program = resources.files("tccp") / "programs" / "photocopier.tccp"
+    assert cli.main(["run", "--program", str(program),
+                     "--entry", "initialize(MIdle) || tell(MIdle = 8)",
+                     "--steps", "500", "--policy", "last",
+                     "--format", "jsonl", "--dump-every", "1"]) == 0
+    lines = [json.loads(x)["store"] for x in capsys.readouterr().out.split(
+        "\n") if x]
+    changed, before = 0, []
+    for line in lines:
+        changed += sum(k >= len(before) or cell != before[k]
+                       for k, cell in enumerate(line["memory"]))
+        before = line["memory"]
+    assert len(lines) == 501
+    assert calls == {"cell": changed, "node": len(lines[-1]["scopes"])} \
+        == {"cell": 1917, "node": 503}
 
 
 def test_one_memo_across_two_runs_the_second_shorter(photocopier,

@@ -764,8 +764,8 @@ def compact(st):
 
 class TestDumpMemo:
     """`dump(memo)` is the compact JSON of `dump()`, whatever the memo
-    rendered before: a slot is encoded again when it holds another cell
-    or node."""
+    rendered before: of the same run, another run or a snapshot with
+    writes that no seal has logged."""
 
     def test_a_live_snapshot_dumped_before_and_after_it_grows(self):
         base = Store.new(["X", "Y"]).seal()
@@ -794,6 +794,23 @@ class TestDumpMemo:
             text = st.dump(memo)
             assert text == compact(st)
         assert json.loads(s2.dump(memo))["memory"][1] is None
+
+    def test_a_seal_over_an_inherited_view_logs_it(self):
+        """A store sealed over its parent's view logs the parent's writes
+        with its own, so one memo prints it, the store before and it
+        again as fresh dumps."""
+        root = Store.new(["X", "Y"]).seal()
+        before, memo = root.frozen(), DumpMemo()
+        assert before.dump(memo) == compact(before)
+        parent = root.branch()
+        tell(parent, 0, C("X = a"))
+        child = parent.branch()
+        tell(child, 0, C("Y = b"))
+        child.seal()
+        for st in (child, before, child):
+            assert st.dump(memo) == compact(st)
+        assert json.loads(child.dump(memo))["memory"] == [
+            {"kind": "const", "value": "a"}, {"kind": "const", "value": "b"}]
 
     def test_a_dump_without_a_memo_is_the_same_text(self):
         base = Store.new(["X", "N"])

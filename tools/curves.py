@@ -1,0 +1,112 @@
+"""Time the simulator's curves in process, at n and 2n instants.
+
+    PYTHONPATH=src python tools/curves.py [--smoke] [--repeat R] [--digest]
+                                          [curve ...]
+
+For each curve, prints its size n, the best of R wall times at n and at
+2n, and their ratio: a ratio near 2 is a linear curve, near 4 a
+quadratic one. The curves are the photocopier with every instant printed
+(`tccp.cli.main` to os.devnull) and four numeric programs run through
+`tccp.run(program, n, every=0)`. `--smoke` runs each at a few instants,
+to check that the curves still run; `--digest` also prints the sha256 of
+the photocopier's output at 2n, from one more run that is not timed.
+Stdlib only; pytest does not collect it.
+"""
+
+import argparse
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import time
+from importlib import resources
+
+from tccp import cli, parse_program, run
+
+# name: (declarations, entry agent, n, smoke n)
+NUMERIC = {
+    "two-streams": (
+        "gen(S, N) :- now (N > 1000000) then skip else exists T, M "
+        "(tell(S = [N | T]) || tell(M = N + 1) || gen(T, M)).",
+        "gen(A, 0) || gen(B, 0)", 1200, 20),
+    "counter": (
+        "count(N) :- now (N > 1000000) then skip "
+        "else exists M (tell(M = N + 1) || count(M)).",
+        "count(0)", 1600, 20),
+    # the counter from a start that is bounded below only, so the
+    # store keeps one live inequality
+    "bounded-counter": (
+        "count(N) :- now (N > 1000000) then skip "
+        "else exists M (tell(M = N + 1) || count(M)).",
+        "count(A) || tell(A >= 0)", 800, 20),
+    "sum-chain": (
+        "c(X, Y) :- now (X > 1000000) then skip else exists X1, Y1 "
+        "(tell(X1 + Y1 <= X + Y + 1) || tell(X1 >= X) || tell(Y1 >= 0) "
+        "|| c(X1, Y1)).",
+        "c(A, B) || tell(A = 0) || tell(B = 0)", 100, 10),
+}
+PHOTOCOPIER = "photocopier-every-instant"
+CURVES = (PHOTOCOPIER, *NUMERIC)
+
+
+def photocopier(n, out):
+    path = resources.files("tccp") / "programs" / "photocopier.tccp"
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["run", "--program", str(path),
+                         "--entry", "initialize(MIdle) || tell(MIdle = 5)",
+                         "--steps", str(n), "--policy", "last",
+                         "--format", "jsonl", "--dump-every", "1"])
+    if code != 0:
+        raise SystemExit(f"{PHOTOCOPIER} at {n}: exit {code}")
+
+
+def timed(fn, repeat):
+    best = float("inf")
+    for _ in range(repeat):
+        t0 = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - t0)
+    return best
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("curves", nargs="*", metavar="curve",
+                    help="any of " + ", ".join(CURVES) + " (default: all)")
+    ap.add_argument("--smoke", action="store_true",
+                    help="a few instants per curve")
+    ap.add_argument("--repeat", type=int, default=2,
+                    help="runs per size; the best is printed")
+    ap.add_argument("--digest", action="store_true",
+                    help="sha256 of the photocopier's output at 2n")
+    args = ap.parse_args(argv)
+    unknown = set(args.curves) - set(CURVES)
+    if unknown:
+        ap.error(f"unknown curve: {', '.join(sorted(unknown))}")
+    curves = args.curves or CURVES
+    print(f"{'curve':<28}{'n':>6}{'t(n) s':>10}{'t(2n) s':>10}{'ratio':>7}")
+    for name in curves:
+        if name == PHOTOCOPIER:
+            n = 20 if args.smoke else 1000
+            with open(os.devnull, "w") as devnull:
+                times = [timed(lambda: photocopier(k, devnull), args.repeat)
+                         for k in (n, 2 * n)]
+        else:
+            decls, entry, n, smoke_n = NUMERIC[name]
+            n = smoke_n if args.smoke else n
+            program = parse_program(decls, entry=entry)
+            times = [timed(lambda: run(program, k, every=0), args.repeat)
+                     for k in (n, 2 * n)]
+        print(f"{name:<28}{n:>6}{times[0]:>10.3f}{times[1]:>10.3f}"
+              f"{times[1] / times[0]:>7.2f}", flush=True)
+    if args.digest and PHOTOCOPIER in curves:
+        out = io.StringIO()
+        photocopier(2 * (20 if args.smoke else 1000), out)
+        digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+        print(f"{PHOTOCOPIER} sha256 at 2n: {digest}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
