@@ -1,29 +1,38 @@
 """Step interpreter: one step = one time instant.
 
-All active threads run in the same instant, each on its own store
-snapshot; the snapshots merge into the next store. Guards (ask and now
+All active threads run in the same instant on the store it began with,
+and what they write merges into the next store. Guards (ask and now
 conditions) therefore read the store as it was when the instant began:
 what a thread tells becomes visible to the others at the next instant.
 
 Agents are compiled once per run into abstract instructions, lists
 [opcode, agent, operands...] that keep their agent for the trace. A
-thread is an instruction, its scope node and its environment, the
-registers of the names it sees (`tccp.store` compiles constraints and
-actuals over it). Within one instant:
+thread is a tuple (instruction, its scope node, its environment), the
+environment being the registers of the names it sees (`tccp.store`
+compiles constraints and actuals over it). Within one instant:
   - [SKIP, a] does nothing and does not move;
   - [TELL, a, c] tells constraint c;
   - [CHOOSE, a, guards, guard of each branch, bodies] asks each distinct
     guard once and fires one enabled branch, whose body starts next
     instant, or, when none is enabled, suspends unchanged and unmoved;
   - [NOW, a, c, [then, else]] runs the branch that entailment of c picks;
-  - [PAR, a, components] runs each on a branch of the snapshot, and a
-    JOIN merges their snapshots; it moves when any component does;
+  - [PAR, a, components] runs each component on its own, and a JOIN
+    commits their snapshots; it moves when any component does;
   - [HIDE, a, names, [body]], exists, makes a scope of new registers and
     runs the body; it moves when the body does;
   - [CALL, a, name, actuals, formals, body] makes the call's scope and
     schedules the declaration's compiled body for the next instant.
 Tells, nows and calls always move. An instant in which no thread moves
 is never committed: the run ends quiescent and the store stays as it was.
+
+A thread, or a component of a PAR, reads the store it started on until
+its first write (HIDE, CALL, PAR, or a tell other than tell(true)),
+where it branches a snapshot of its own; one that only reads leaves no
+snapshot. A JOIN, like the end of the instant, commits the snapshots
+left. With none, the result is the store they branched off. With one
+writer that merge would adopt, over a store that has no writes of its
+own, the result is that writer itself, which nothing else holds any
+more. Otherwise `Store.merge` builds it.
 """
 
 import random
@@ -31,14 +40,14 @@ from collections import namedtuple
 
 from . import ast
 from .ast import pretty_agent
-from .store import EXISTS, PROC_CALL, Store, compile_actual, compile_constraint
+from .store import (
+    EXISTS, PROC_CALL, TRUE, Store, compile_actual, compile_constraint,
+)
 
 RUNNING, QUIESCENT, FAILED = "running", "quiescent", "failed"
 
 SKIP, TELL, CHOOSE, NOW, PAR, HIDE, CALL, JOIN = range(8)
 _JOIN = (JOIN,)
-
-Thread = namedtuple("Thread", "code scope env")
 
 
 class ChoicePolicy:
@@ -131,7 +140,7 @@ def initial_config(program):
         raise ValueError("program has no entry agent")
     store = Store.new(program.entry_vars).seal()
     env = tuple([store.lookup(0, name) for name in program.entry_vars])
-    return Config(store, [Thread(compile_program(program), 0, env)], 0,
+    return Config(store, [(compile_program(program), 0, env)], 0,
                   RUNNING)
 
 
@@ -139,64 +148,82 @@ def step(config, policy, rng):
     """Advance one instant. Returns (moved, new config).
 
     Threads run from one explicit stack of work items (instruction,
-    scope, env, snapshot, the list its final snapshot goes to). A
-    committed instant seals its store into the base that it shares with
-    config.store, which is then no longer valid (see `tccp.store`)."""
+    scope, env, the store it reads, the list its snapshot goes to), with
+    the instant's own JOIN at the bottom. A committed instant seals its
+    store into the base that it shares with config.store, which is then
+    no longer valid (see `tccp.store`)."""
     if config.status != RUNNING:
         return False, config
-    base = config.store
-    snaps, threads, moved = [], [], False
-    work = [(code, scope, env, base.branch(), snaps)
-            for code, scope, env in reversed(config.active)]
+    base, threads, moved, frame, done = config.store, [], False, [], []
+    work = [(_JOIN, frame, None, base, done)]
+    work += [(code, scope, env, base, frame)
+             for code, scope, env in reversed(config.active)]
     while work:
-        code, scope, env, snap, out = work.pop()
-        while code[0] == NOW or code[0] == HIDE:  # go on in the same instant
-            if code[0] == NOW:
+        code, scope, env, parent, out = work.pop()
+        if code is _JOIN:  # scope holds the snapshots branched off parent
+            if len(scope) == 1 and not parent.write_log and scope[0].adoptable(
+                    parent.n_cells):
+                parent = scope[0]  # what merge would build, without a copy
+            elif scope:
+                parent = Store.merge(parent, scope)
+            out.append(parent)
+            continue
+        snap, op = parent, code[0]  # the item reads parent until it writes
+        while op == NOW or op == HIDE:  # go on in the same instant
+            if op == NOW:
                 moved = True  # even when the branch it runs cannot move
                 code = code[3][0 if snap.entails(code[2], env) else 1]
             else:
+                if snap is parent:
+                    snap = parent.branch()
                 regs = tuple([snap.new_cell() for _ in code[2]])
                 scope = snap.add_scope(EXISTS, scope, dict(zip(code[2], regs)))
                 env += regs
                 code = code[3][0]
-        op = code[0]
-        if op == TELL:
-            snap.add_constraint(code[2], env)
-            moved = True
-        elif op == CHOOSE:
+            op = code[0]
+        if op == CHOOSE:
             asked = [snap.entails(g, env) for g in code[2]]
-            enabled = [k for k, g in enumerate(code[3]) if asked[g]]
-            if enabled:
-                code = code[4][policy.choose(enabled, rng)]
+            if any(asked):
+                code = code[4][policy.choose(
+                    [k for k, g in enumerate(code[3]) if asked[g]], rng)]
                 moved = True
-            threads.append(Thread(code, scope, env))
-        elif op == PAR:  # components run in order, then the JOIN below
-            frame = []
-            work.append((_JOIN, frame, None, snap, out))
-            work += [(kid, scope, env, snap.branch(), frame)
-                     for kid in reversed(code[2])]
-            continue
-        elif op == CALL:
-            regs = tuple([snap.actual_cell(a, env) for a in code[3]])
-            scope = snap.add_scope(PROC_CALL, scope, dict(zip(code[4], regs)),
-                                   code[2])
-            threads.append(Thread(code[5], scope, regs))
-            moved = True
-        elif op == JOIN:
-            snap = Store.merge(snap, scope)
-        out.append(snap)
+            threads.append((code, scope, env))
+        elif op != SKIP:
+            if snap is parent and (op != TELL or code[2][0] != TRUE):
+                snap = parent.branch()  # the item's first write
+            if op == PAR:  # components run in order, then the JOIN below
+                frame = []
+                work.append((_JOIN, frame, None, snap, out))
+                work += [(kid, scope, env, snap, frame)
+                         for kid in reversed(code[2])]
+                continue
+            moved = True  # tells and calls always move
+            if op == CALL:
+                regs = tuple([env[a] if isinstance(a, int)
+                              else snap.actual_cell(a, env) for a in code[3]])
+                scope = snap.add_scope(PROC_CALL, scope,
+                                       dict(zip(code[4], regs)), code[2])
+                threads.append((code[5], scope, regs))
+            elif snap is not parent:  # tell(true) writes nothing
+                snap.add_constraint(code[2], env)
+        if snap is not parent:
+            out.append(snap)
     if not moved:
         return False, config._replace(status=QUIESCENT)
-    store = Store.merge(base, snaps).seal()
+    store = done[0].seal()
     status = (FAILED if not store.is_consistent()
               else RUNNING if threads else QUIESCENT)
     return True, Config(store, threads, config.clock + 1, status)
 
 
-def _trace_step(config):
-    # the store is copied: the next instant's seal() changes its base
-    agents = tuple(pretty_agent(t.code[1]) for t in config.active)
-    return TraceStep(config.clock, RUNNING, config.store.frozen(), agents)
+def _trace_step(config, texts):
+    # the store is copied: the next instant's seal() changes its base; an
+    # instruction's agent is printed at the first kept instant that runs it
+    for code, _, _ in config.active:
+        if id(code) not in texts:
+            texts[id(code)] = pretty_agent(code[1])
+    return TraceStep(config.clock, RUNNING, config.store.frozen(),
+                     tuple([texts[id(t[0])] for t in config.active]))
 
 
 def run(program, steps, policy=None, every=1):
@@ -215,14 +242,17 @@ def run(program, steps, policy=None, every=1):
         policy = ChoicePolicy("first")
     rng = policy.make_rng()
     config = initial_config(program)
-    trace = [_trace_step(config)] if every else []
+    # agent texts by instruction id: every instruction is compiled before
+    # the first step, so none can take the id of one that was freed
+    texts = {}
+    trace = [_trace_step(config, texts)] if every else []
     for _ in range(steps):
         moved, config = step(config, policy, rng)
         if moved and every and config.clock % every == 0:
-            trace.append(_trace_step(config))
+            trace.append(_trace_step(config, texts))
         if config.status != RUNNING:
             break  # a step that moved nothing returns a quiescent config
     if not trace or trace[-1].clock != config.clock:
-        trace.append(_trace_step(config))
+        trace.append(_trace_step(config, texts))
     trace[-1] = trace[-1]._replace(status=config.status)
     return trace

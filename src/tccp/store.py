@@ -4,13 +4,13 @@ linear store.
 Scope nodes are created by `exists` agents and procedure calls and form a
 tree; `lookup` walks from a node toward the root but stops at the first
 procedure-call node after checking it, so a called body sees its formals
-and locals only. Registers hold stream structure: an unbound cell is
-rewritten in place to a functor when first told a cons cell, with its
-head and tail freshly allocated at adjacent positions. Numeric variables
-become DiscreteVar cells pointing at linear-store dimensions; dimensions
-are allocated lazily, on first use in a linear constraint. One walk,
-`_unify`, serves stream tells, merge replay and stream asks: an ask is a
-tell that would add no information, and it writes nothing.
+and locals only. Registers hold stream structure: a cons told onto an
+unbound register is written whole after one occurs check, as a functor
+cell whose head and tail are freshly allocated at adjacent positions.
+Numeric variables become DiscreteVar cells pointing at linear-store
+dimensions, allocated lazily, on first use in a linear constraint. One
+walk, `_unify`, serves stream tells, merge replay and stream asks: an ask
+is a tell that would add no information, and it writes nothing.
 
 Tells, asks and call actuals have one calling convention: a code and
 its environment, the tuple of the registers of the names in scope, one
@@ -22,32 +22,35 @@ to (STREAM, slot, term), (LIN, op, ((slot, coef), ...), const) for `sum
 coef * var + const op 0`, or (TRUE,); an actual parameter to a slot, a
 cell or a LIN code.
 
-Stores are stepped through snapshots: each thread of one time instant
-executes on its own branch. Every store of one run shares one `Base`:
-the allocation counters, which keep register and dimension indices
-disjoint so that they survive the merge verbatim, the base list of
-registers, and the run's one list of scope nodes. A node is made whole
-and never changed, so `add_scope` appends it at its id. A store keeps
-three counts of what it sees: `n_cells` registers, the first `n_nodes`
-nodes and `n_dims` dimensions, each counting what it and its ancestors
-allocated and, once merged, its siblings. A store reads its own register
-writes, then the view that its parent had at the branch, then the base.
-Branching is O(1): a parent builds its view at most once between two of
-its own writes, and its branches share it. Merging reads only the
-siblings' own writes: siblings that changed nothing drop out, the first
-writer is adopted in O(its own writes), and each other writer's own
-writes are replayed onto it through unification; a clash (atom vs
-number, structure vs numeric, occurs cycle) latches the whole store
-inconsistent.
+Stores are stepped through snapshots: a thread of one time instant that
+writes does so on its own branch (`tccp.interp` says which do). Every
+store of one run shares one `Base`: the allocation counters, which keep
+register and dimension indices disjoint so that they survive the merge
+verbatim, the base list of registers, and the run's one list of scope
+nodes. A node is made whole and never changed, so `add_scope` appends it
+at its id. A store keeps three counts of what it sees: `n_cells`
+registers, the first `n_nodes` nodes and `n_dims` dimensions, each
+counting what it and its ancestors allocated and, once merged, its
+siblings. A store reads its own register writes, then the view that its
+parent had at the branch, then the base. Branching is O(1): a parent
+builds its view at most once between two of its own writes, and its
+branches share it. Merging reads only the siblings' own writes: siblings
+that changed nothing drop out and the first writer is adopted, in O(its
+own writes). Each later writer's new registers are copied as they are.
+An older one whose ref chain still ends at an unbound register of the
+merged store gets the writer's cell written at that end (a functor after
+an occurs check); refs, and registers that an earlier writer bound, are
+unified. A clash (atom vs number, structure vs numeric, occurs cycle)
+latches the whole store inconsistent.
 
 Only `seal()` writes the base list of registers: it folds the view into
-it in place, in O(this instant's changes), and so invalidates every other
-store over the same base, the sealed store's own ancestors and siblings
-included. A store that must outlive the next seal is copied first with
-`frozen()`, which costs O(store). `seal()` also appends the indices it
-folds to the run's change log, and a frozen copy keeps the log's length,
-so a `DumpMemo` encodes again only the registers logged between the
-store it printed last and the next.
+it in place, and logs the indices it folds, in O(this instant's
+changes), and so invalidates every other store over the same base, the
+sealed store's own ancestors and siblings included. A store that must
+outlive the next seal is copied first with `frozen()`, which costs
+O(store). A frozen copy keeps the change log's length, so a `DumpMemo`
+encodes again only the registers logged between the store it printed
+last and the next.
 """
 
 from collections import namedtuple
@@ -57,7 +60,7 @@ from json.encoder import encode_basestring_ascii as _json_str
 from . import ast
 from .errors import UnknownSymbolError
 from .linear import (
-    dump_lin, ls_add, ls_entails, ls_is_empty, ls_meet, ls_new, row,
+    dump_lin, ls_add, ls_entails, ls_meet, ls_new, row,
 )
 
 UNBOUND = ("unbound",)
@@ -67,19 +70,6 @@ ROOT, EXISTS, PROC_CALL = "root", "exists", "proc_call"
 
 def const_cell(value):
     return ("const", value)
-
-
-def ref_cell(target):
-    return ("ref", target)
-
-
-def dvar_cell(dim):
-    return ("dvar", dim)
-
-
-def functor_cell(head):
-    # tail lives at head + 1
-    return ("functor", head)
 
 
 def _leaf_rule(ca, cb):
@@ -180,14 +170,6 @@ def _overlaid(base, delta, size):
     for i, x in delta.items():
         out[i] = x
     return out
-
-
-def _fold(base, size, *deltas):
-    """Write the deltas, in order, into the base list in place."""
-    base.extend([None] * (size - len(base)))
-    for delta in deltas:
-        for i, x in delta.items():
-            base[i] = x
 
 
 class Layer:
@@ -373,9 +355,12 @@ class Store:
         their indices to the change log. Every other store over this base
         reads the result from now on, so none of them is valid any more;
         this one stays valid, with nothing over the base."""
-        base = self.base
-        _fold(base.memory, self.n_cells, self.inherited, self.write_log)
-        base.log += [*self.inherited, *self.write_log]
+        base, memory = self.base, self.base.memory
+        memory += [None] * (self.n_cells - len(memory))
+        for delta in (self.inherited, self.write_log):
+            for i, x in delta.items():
+                memory[i] = x
+            base.log += delta
         base.mark = len(base.log)
         self.inherited, self.write_log, self.view = {}, {}, None
         return self
@@ -403,12 +388,6 @@ class Store:
         self.view = None
         if idx >= self.n_cells:
             self.n_cells = idx + 1
-
-    def _alloc_cell(self, cell):
-        idx = self.base.next_cell
-        self.base.next_cell += 1
-        self._set(idx, cell)
-        return idx
 
     def _alloc_dim(self):
         d = self.base.next_dim
@@ -446,6 +425,25 @@ class Store:
                 stack += (x[1], x[1] + 1)
         return False
 
+    def _bind_cons(self, a, t, env):
+        """Bind unbound register a to the cons code t over env, in new
+        registers allocated preorder; no register under t may reach a."""
+        base, log, todo = self.base, self.write_log, [(a, t)]
+        while todo:
+            a, t = todo.pop()
+            if t is None:  # `_`: the register stays unbound
+                continue
+            if isinstance(t, int):
+                t = ("ref", self._deref(env[t])[0])
+            elif t[0] == "cons":
+                h = base.next_cell
+                base.next_cell = h + 2  # the tail at head + 1
+                log[h] = log[h + 1] = UNBOUND
+                todo += ((h + 1, t[2]), (h, t[1]))
+                t = ("functor", h)
+            log[a] = t
+        self.n_cells, self.view = base.next_cell, None
+
     # ------------------------------------------------------------- scopes
 
     def add_scope(self, kind, parent, symbols, label=""):
@@ -456,9 +454,12 @@ class Store:
         self.n_nodes = nid + 1
         return nid
 
-    def new_cell(self):
-        """One new unbound register; returns its index."""
-        return self._alloc_cell(UNBOUND)
+    def new_cell(self, cell=UNBOUND):
+        """One new register, unbound unless given its cell; its index."""
+        idx = self.base.next_cell
+        self.base.next_cell = self.n_cells = idx + 1
+        self.write_log[idx], self.view = cell, None
+        return idx
 
     def lookup(self, scope_id, name):
         scopes = self.base.scopes
@@ -473,16 +474,14 @@ class Store:
         raise UnknownSymbolError(name)
 
     def actual_cell(self, actual, env):
-        """The register of a formal whose actual is `actual`, a code from
-        `compile_actual` over env: the caller's own register for a
-        variable, else a new one."""
-        if isinstance(actual, int):
-            return env[actual]
+        """The new register of a formal whose actual is `actual`, a code
+        from `compile_actual` over env other than a variable's slot (whose
+        register is the caller's own)."""
         if actual[0] == "const":
-            return self._alloc_cell(actual)
+            return self.new_cell(actual)
         resolved = self._resolve(actual, env, allocate=True)
         d = self._alloc_dim()
-        idx = self._alloc_cell(dvar_cell(d))
+        idx = self.new_cell(("dvar", d))
         if resolved is None:
             self.step_false = True
         else:
@@ -494,7 +493,7 @@ class Store:
     # -------------------------------------------------------- consistency
 
     def is_consistent(self):
-        return not self.step_false and not ls_is_empty(self.lin)
+        return not (self.step_false or self.lin.empty)
 
     # ------------------------------------------------------- unification
 
@@ -512,44 +511,51 @@ class Store:
             if rhs is None:
                 return True
             rhs = env[rhs] if isinstance(rhs, int) else rhs
+        log, inh, memory = self.write_log, self.inherited, self.base.memory
         stack = [(idx, rhs, None)]
         while stack:
-            i, t, seen = stack.pop()
-            a, ca = self._deref(i)
+            a, t, seen = stack.pop()
+            ca = log.get(a) or inh.get(a) or memory[a]
+            while ca[0] == "ref":  # to the end of a's ref chain
+                a = ca[1]
+                ca = log.get(a) or inh.get(a) or memory[a]
             b = None
             if isinstance(t, int):
-                b, t = self._deref(t)
+                b, t = t, log.get(t) or inh.get(t) or memory[t]
+                while t[0] == "ref":
+                    b = t[1]
+                    t = log.get(b) or inh.get(b) or memory[b]
                 if a == b:
                     continue
             elif t[0] == "cons":
                 if ca == UNBOUND and not ask and not (t[3] and self._reaches(
                         [env[s] for s in t[3]], a)):
-                    ca = functor_cell(self._alloc_cell(UNBOUND))
-                    self._alloc_cell(UNBOUND)  # tail at head + 1
-                    self._set(a, ca)
-                if ca[0] != "functor":
-                    if ask:
-                        return False
+                    self._bind_cons(a, t, env)
+                elif ca[0] == "functor":
+                    for h, p in ((ca[1] + 1, t[2]), (ca[1], t[1])):
+                        if p is not None:
+                            stack.append((h, env[p] if isinstance(p, int)
+                                          else p, None))
+                elif ask:
+                    return False
+                else:
                     self.step_false = True
-                    continue
-                stack += [(h, env[p] if isinstance(p, int) else p, None)
-                          for h, p in ((ca[1] + 1, t[2]), (ca[1], t[1]))
-                          if p is not None]
                 continue
             if ask and (ca == UNBOUND or t == UNBOUND):
                 return False  # a tell would bind a register
             if ca == UNBOUND:
-                if b is not None and t == UNBOUND:
-                    self._set(max(a, b), ref_cell(min(a, b)))
+                if b is not None and t == UNBOUND:  # the newer refs the older
+                    a, b = (a, b) if a > b else (b, a)
+                    self._set(a, ("ref", b))
                 elif t[0] == "functor" and self._reaches([t], a):
                     self.step_false = True
                 else:
-                    self._set(a, t if b is None else ref_cell(b))
+                    self._set(a, t if b is None else ("ref", b))
             elif t == UNBOUND:
                 if self._reaches([ca], b):
                     self.step_false = True
                 else:
-                    self._set(b, ref_cell(a))
+                    self._set(b, ("ref", a))
             elif ca == t:
                 continue
             elif ca[0] == "functor" and t[0] == "functor":
@@ -585,7 +591,7 @@ class Store:
                 if not allocate:
                     return None
                 d = self._alloc_dim()
-                self._set(idx, dvar_cell(d))
+                self._set(idx, ("dvar", d))
                 coeffs[d] = coeffs.get(d, 0) + c
             elif cell[0] == "dvar":
                 coeffs[cell[1]] = coeffs.get(cell[1], 0) + c
@@ -639,18 +645,12 @@ class Store:
         writers = [s for s in locals_ if s.write_log
                    or s.n_nodes != base.n_nodes or s.lin is not base.lin
                    or s.step_false != base.step_false]
-        # replayed onto base, the first writer gives back its own cells,
-        # unless it refs an older register that it also bound: replay binds
-        # older registers in index order and would turn that ref around (a
-        # thread that ran `tell(Y = a) || tell(X = Y)`, X older)
         first, rest = base, writers
-        log = writers[0].write_log if writers else {}
-        if writers and not any(c[0] == "ref" and c[1] < base_len
-                               and c[1] in log for c in log.values()):
+        if writers and writers[0].adoptable(base_len):
             first, rest = writers[0], writers[1:]
         out = Store.__new__(Store)
         out.inherited, out.view = base.inherited, None
-        out.write_log = {**base.write_log, **first.write_log}
+        out.write_log = wl = {**base.write_log, **first.write_log}
         out.base, out.n_cells, out.n_nodes, out.n_dims = (
             base.base, first.n_cells, first.n_nodes, first.n_dims)
         out.lin, out.step_false = first.lin, first.step_false
@@ -664,13 +664,38 @@ class Store:
             out.n_nodes = max(out.n_nodes, snap.n_nodes)
             out.n_dims = max(out.n_dims, snap.n_dims)
             # new registers as they are (allocation keeps indices disjoint
-            # across siblings), then older ones, unified in index order
-            log = snap.write_log
-            out.write_log.update([x for x in log.items() if x[0] >= base_len])
-            for idx in sorted([i for i in log if i < base_len]):
-                cell = log[idx]
-                out._unify(idx, cell[1] if cell[0] == "ref" else cell)
+            # across siblings), then older ones in index order: a cell
+            # whose register still ends unbound is written at that end, as
+            # `_unify` would, and refs and bound ends are unified
+            older = []
+            for i, cell in snap.write_log.items():
+                if i >= base_len:
+                    wl[i] = cell
+                else:
+                    older.append((i, cell))
+            for i, cell in sorted(older):
+                if cell[0] == "ref":
+                    out._unify(i, cell[1])
+                    continue
+                i, end = out._deref(i)
+                if end != UNBOUND:  # an earlier writer bound it
+                    out._unify(i, cell)
+                elif cell[0] == "functor" and out._reaches([cell], i):
+                    out.step_false = True
+                else:
+                    wl[i] = cell
         return out
+
+    def adoptable(self, base_len):
+        """Does replay onto a base of `base_len` registers give back this
+        snapshot's own writes? Not when it refs an older register that it
+        also bound: replay would turn that ref around (a thread that ran
+        `tell(Y = a) || tell(X = Y)`, X older)."""
+        log = self.write_log
+        for c in log.values():
+            if c[0] == "ref" and c[1] < base_len and c[1] in log:
+                return False
+        return True
 
     # --------------------------------------------------------------- dump
 

@@ -2,6 +2,8 @@
 statuses and trace shape."""
 
 import json
+from collections import Counter
+from importlib import resources
 
 import pytest
 
@@ -243,3 +245,43 @@ class TestTraceShape:
                      decls="count(S) :- exists T (tell(S = [tick | T]) || count(T)).",
                      steps=3)
         assert len(t) == 4 and t[-1].status == "running"
+
+
+# ------------------------------------------------------ snapshots per write
+
+class TestSnapshotsPerWrite:
+    def test_a_lone_writer_that_refs_an_older_register_it_bound(self):
+        # the thread's one snapshot holds X -> Y, Y = a; committed as it
+        # is, it would print that, not the replay's X = a, Y -> X
+        st = trace_of("p(X, Y)", steps=5,
+                      decls="p(X, Y) :- tell(Y = a) || tell(X = Y).")[-1].store
+        x, y = st.lookup(0, "X"), st.lookup(0, "Y")
+        assert x < y and (st.memory[x], st.memory[y]) == \
+            (("const", "a"), ("ref", x))
+
+    def test_photocopier_snapshot_merge_and_walk_counts(self, monkeypatch):
+        # Store calls over 500 photocopier instants (MIdle = 8, --policy
+        # last, every=0). With a snapshot per thread and a merge per frame
+        # (the parent commit), these were 2 015 branches, 802 merges,
+        # 1 661 unifier walks and 723 asks.
+        counts = Counter()
+
+        def counted(name, fn):
+            def call(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return call
+
+        for name in ("branch", "_unify", "entails"):
+            monkeypatch.setattr(Store, name,
+                                counted(name, getattr(Store, name)))
+        monkeypatch.setattr(Store, "merge",
+                            staticmethod(counted("merge", Store.merge)))
+        text = (resources.files("tccp") / "programs" / "photocopier.tccp"
+                ).read_text()
+        program = parse_program(
+            text, entry="initialize(MIdle) || tell(MIdle = 8)")
+        trace = run(program, 500, ChoicePolicy("last"), every=0)
+        assert trace[-1].clock == 500
+        assert counts == {"branch": 1316, "merge": 310, "_unify": 1335,
+                          "entails": 723}

@@ -236,6 +236,30 @@ def test_a_memo_renders_each_changed_register_once(monkeypatch, capsys):
         == {"cell": 1917, "node": 503}
 
 
+def test_each_kept_instruction_is_printed_once(monkeypatch, capsys):
+    """`tccp run --dump-every 1` on the photocopier pretty-prints the
+    agent of each instruction that a kept instant runs once per run,
+    however many lines show it, and prints the bytes it printed when
+    every line printed its agents anew (sha256 recorded then)."""
+    printed = []
+
+    def counted(agent):
+        printed.append(agent)
+        return interp.ast.pretty_agent(agent)
+
+    monkeypatch.setattr("tccp.interp.pretty_agent", counted)
+    program = resources.files("tccp") / "programs" / "photocopier.tccp"
+    assert cli.main(["run", "--program", str(program),
+                     "--entry", "initialize(MIdle) || tell(MIdle = 8)",
+                     "--steps", "500", "--policy", "last",
+                     "--format", "jsonl", "--dump-every", "1"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("\n") == 501
+    assert len(printed) == len({id(a) for a in printed}) == 9
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "8b2c4f5e3e03f28913e38c6fea9e115495c829562d6d6830e02aa327a6c03337")
+
+
 def test_one_memo_across_two_runs_the_second_shorter(photocopier,
                                                      generated):
     memo = DumpMemo()

@@ -13,9 +13,11 @@ from tccp import ast
 from tccp.errors import UnknownSymbolError
 from tccp.parser import parse_constraint
 from tccp.store import DumpMemo, EXISTS, PROC_CALL, Store, UNBOUND
+from tccp.interp import ChoicePolicy, initial_config, step
+from tccp.parser import parse_program
 from support import (
-    actual, ask, check_parameter_law, dump_doc, reference_ask, replay_merge,
-    tell,
+    actual, ask, check_parameter_law, dump_doc, reference_ask, reference_tell,
+    replay_merge, tell,
 )
 
 
@@ -260,6 +262,21 @@ class TestEntails:
         for text in NAME_PAIRS + told + data.draw(strat.lists(ASK_EQS)):
             assert ask(st, 0, C(text)) == reference_ask(st, 0, C(text)), text
         assert (compact(st), st.base.next_cell, st.base.next_dim) == before
+
+    @settings(max_examples=200, deadline=None)
+    @given(strat.data())
+    def test_stream_tells_write_as_the_reference_walk(self, data):
+        # the one walk in tell mode, which follows ref chains inline and
+        # writes a cons told onto an unbound register whole, against the
+        # walk it replaced (one `_deref` per cell, a cons cell by cell),
+        # on two stores told the same equations, cycles and clashes too
+        st, ref = Store.new(NAMES), Store.new(NAMES)
+        for text in data.draw(strat.lists(strat.one_of(
+                ASK_EQS, strat.sampled_from(NUMERIC)), max_size=8)):
+            tell(st, 0, C(text))
+            reference_tell(ref, 0, C(text))
+            assert compact(st) == compact(ref), text
+            assert st.base.next_cell == ref.base.next_cell
 
     def test_rational_values_round_trip_in_dump(self):
         st = Store.new()
@@ -578,6 +595,24 @@ class TestCopyOnWrite:
         assert dump_doc(base) == base_dump
         assert ask(out, 0, C("X = a"))
 
+    def test_a_store_is_as_long_as_the_registers_and_nodes_it_sees(self):
+        # what the benchmark's tracer reads on every branch(): a branch
+        # with writes of its own, and the store that an instant whose
+        # threads only asked commits, which is the store it began with
+        snap = Store.new(["X"]).seal().branch()
+        nid = snap.add_scope(EXISTS, 0, {"L": snap.new_cell()})
+        tell(snap, nid, C("X = [a | L]"))
+        config = initial_config(parse_program("", entry=(
+            "tell(X = a) || ask(X = a) -> skip || ask(true) -> skip")))
+        config = step(config, ChoicePolicy(), None)[1]
+        asked = step(config, ChoicePolicy(), None)[1]
+        assert asked.clock == 2 and asked.store is config.store
+        for st in (snap, asked.store):
+            assert (len(st.memory), len(st.scopes)) == \
+                (st.n_cells, st.n_nodes) == (len(dump_doc(st)["memory"]),
+                                             len(dump_doc(st)["scopes"]))
+        assert (snap.n_cells, snap.n_nodes) == (4, 2)
+
 
 # ------------------------------------------------ merge against replay
 
@@ -683,6 +718,64 @@ class TestMergeWriters:
         assert [dump_doc(st) for st in [base] + snaps] == dumps
 
 
+def siblings(*tells, prep=()):
+    """build(merge) for one sibling per list of `tells` over one sealed
+    base, told `prep` first."""
+    def build(merge):
+        base = Store.new(["X", "Y", "T", "U", "N", "M"])
+        for text in prep:
+            tell(base, 0, C(text))
+        base.seal()
+        snaps = [base.branch() for _ in tells]
+        for snap, texts in zip(snaps, tells):
+            for text in texts:
+                tell(snap, 0, C(text))
+        return base, snaps
+    return build
+
+
+class TestMergeAcrossSiblings:
+    """A later sibling's older register is written at the end of its ref
+    chain in the merged store while that end is unbound (a functor after
+    an occurs check), and unified otherwise; in every order of the
+    siblings, the result dumps as the replay of `replay_merge`."""
+
+    @pytest.mark.parametrize("tells, prep, consistent", [
+        ((["X = a"], ["X = b"]), (), False),
+        ((["X = a"], ["X = a"]), (), True),
+        ((["X = [a | T]"], ["X = [b | U]"]), (), False),
+        ((["Y = a"], ["X = Y"]), (), True),
+        ((["X = a"], ["Y = X"]), (), True),
+        ((["T = a"], ["Y = [b | U]"]), ("Y = T",), False),
+        ((["U = a"], ["Y = [b | U]"]), ("Y = T",), True),
+        ((["X = Y"], ["Y = [b | U]"]), (), True),
+        ((["Y = X"], ["X = [a | Y]"]), (), False),
+        ((["U = T"], ["X = [a | [b | U]]", "T = X"]), (), False),
+        ((["X = a"], ["X = 3"]), (), False),
+        ((["N = 3"], ["N = a"]), (), False),
+    ], ids=["same-register", "same-register-agreeing", "same-register-cons",
+            "ref-to-a-register-a-sibling-bound", "ref-from-a-newer-register",
+            "through-a-chain-onto-a-binding", "through-a-chain-unbound",
+            "through-a-siblings-ref",
+            "occurs-cycle", "occurs-cycle-deeper", "atom-against-number",
+            "number-against-atom"])
+    def test_explicit_siblings(self, tells, prep, consistent):
+        for order in (tells, tells[::-1]):
+            out, base, snaps = both_ways(siblings(*order, prep=prep))
+            assert out.is_consistent() == consistent
+
+    @settings(max_examples=300, deadline=None)
+    @given(strat.data())
+    def test_random_flat_siblings(self, data):
+        prep = data.draw(strat.lists(strat.sampled_from(TELLS), max_size=2))
+        tells = data.draw(strat.lists(strat.lists(
+            strat.sampled_from(TELLS + SIBLING_TELLS), min_size=1, max_size=3),
+            min_size=2, max_size=4))
+        both_ways(siblings(*tells, prep=prep))
+
+
+SIBLING_TELLS = ["X = b", "X = 3", "Y = [b | T]", "U = [a | X]", "T = X",
+                 "Y = [a | [b | U]]", "M = a"]
 TELLS = ["X = Y", "Y = T", "T = U", "X = U", "Y = a", "T = a", "U = b",
          "X = [a | T]", "T = [b | U]", "X = [Y | U]", "U = [Y | X]", "X = a",
          "N = 3", "N + M = 2", "N > 1", "M = N + 1", "N + 1 = N + 1", "Y = N"]

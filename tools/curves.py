@@ -4,10 +4,13 @@
                                           [curve ...]
 
 For each curve, prints its size n, the best of R wall times at n and at
-2n, and their ratio: a ratio near 2 is a linear curve, near 4 a
-quadratic one. The curves are the photocopier with every instant printed
-(`tccp.cli.main` to os.devnull) and four numeric programs run through
-`tccp.run(program, n, every=0)`. `--smoke` runs each at a few instants,
+2n, their ratio (near 2 is a linear curve, near 4 a quadratic one) and
+the microseconds per instant at n. The curves are the photocopier with
+every instant printed (`tccp.cli.main` to os.devnull), the benchmark's
+photocopier run alone (its program and entry, `--policy last`, through
+`tccp.run(program, n, policy, every=0)`, so the step loop is timed apart
+from output) and four numeric programs run through `tccp.run(program, n,
+every=0)`. `--smoke` runs each at a few instants,
 to check that the curves still run; `--digest` also prints the sha256 of
 the photocopier's output at 2n, from one more run that is not timed.
 Stdlib only; pytest does not collect it.
@@ -23,6 +26,7 @@ import time
 from importlib import resources
 
 from tccp import cli, parse_program, run
+from tccp.interp import ChoicePolicy
 
 # name: (declarations, entry agent, n, smoke n)
 NUMERIC = {
@@ -47,13 +51,15 @@ NUMERIC = {
         "c(A, B) || tell(A = 0) || tell(B = 0)", 100, 10),
 }
 PHOTOCOPIER = "photocopier-every-instant"
-CURVES = (PHOTOCOPIER, *NUMERIC)
+PHOTOCOPIER_RUN = "photocopier-run"
+RUN_ENTRY = "initialize(MIdle) || tell(MIdle = 8)"  # perfbench's, seed 0
+CURVES = (PHOTOCOPIER, PHOTOCOPIER_RUN, *NUMERIC)
+PATH = resources.files("tccp") / "programs" / "photocopier.tccp"
 
 
 def photocopier(n, out):
-    path = resources.files("tccp") / "programs" / "photocopier.tccp"
     with contextlib.redirect_stdout(out):
-        code = cli.main(["run", "--program", str(path),
+        code = cli.main(["run", "--program", str(PATH),
                          "--entry", "initialize(MIdle) || tell(MIdle = 5)",
                          "--steps", str(n), "--policy", "last",
                          "--format", "jsonl", "--dump-every", "1"])
@@ -85,13 +91,19 @@ def main(argv=None):
     if unknown:
         ap.error(f"unknown curve: {', '.join(sorted(unknown))}")
     curves = args.curves or CURVES
-    print(f"{'curve':<28}{'n':>6}{'t(n) s':>10}{'t(2n) s':>10}{'ratio':>7}")
+    print(f"{'curve':<28}{'n':>6}{'t(n) s':>10}{'t(2n) s':>10}{'ratio':>7}"
+          f"{'us/inst':>9}")
     for name in curves:
         if name == PHOTOCOPIER:
             n = 20 if args.smoke else 1000
             with open(os.devnull, "w") as devnull:
                 times = [timed(lambda: photocopier(k, devnull), args.repeat)
                          for k in (n, 2 * n)]
+        elif name == PHOTOCOPIER_RUN:
+            n = 20 if args.smoke else 3000
+            program = parse_program(PATH.read_text(), entry=RUN_ENTRY)
+            times = [timed(lambda: run(program, k, ChoicePolicy("last"), 0),
+                           args.repeat) for k in (n, 2 * n)]
         else:
             decls, entry, n, smoke_n = NUMERIC[name]
             n = smoke_n if args.smoke else n
@@ -99,7 +111,8 @@ def main(argv=None):
             times = [timed(lambda: run(program, k, every=0), args.repeat)
                      for k in (n, 2 * n)]
         print(f"{name:<28}{n:>6}{times[0]:>10.3f}{times[1]:>10.3f}"
-              f"{times[1] / times[0]:>7.2f}", flush=True)
+              f"{times[1] / times[0]:>7.2f}{times[0] / n * 1e6:>9.1f}",
+              flush=True)
     if args.digest and PHOTOCOPIER in curves:
         out = io.StringIO()
         photocopier(2 * (20 if args.smoke else 1000), out)
