@@ -4,13 +4,14 @@ linear store.
 Scope nodes are created by `exists` agents and procedure calls and form a
 tree; `lookup` walks from a node toward the root but stops at the first
 procedure-call node after checking it, so a called body sees its formals
-and locals only. Registers hold stream structure: a cons told onto an
-unbound register is written whole after one occurs check, as a functor
-cell whose head and tail are freshly allocated at adjacent positions.
-Numeric variables become DiscreteVar cells pointing at linear-store
-dimensions, allocated lazily, on first use in a linear constraint. One
-walk, `_unify`, serves stream tells, merge replay and stream asks: an ask
-is a tell that would add no information, and it writes nothing.
+and locals only. Registers hold stream structure: an unbound register
+told a cons becomes a functor cell, with its head and tail freshly
+allocated at adjacent positions. Numeric variables become DiscreteVar
+cells pointing at linear-store dimensions, allocated lazily, on first use
+in a linear constraint. One walk, `_unify`, serves stream tells, merge
+replay and stream asks, and binds every register but a numeric one given
+its dimension: an ask is a tell that would add no information, and it
+writes nothing.
 
 Tells, asks and call actuals have one calling convention: a code and
 its environment, the tuple of the registers of the names in scope, one
@@ -35,13 +36,10 @@ siblings. A store reads its own register writes, then the view that its
 parent had at the branch, then the base. Branching is O(1): a parent
 builds its view at most once between two of its own writes, and its
 branches share it. Merging reads only the siblings' own writes: siblings
-that changed nothing drop out and the first writer is adopted, in O(its
-own writes). Each later writer's new registers are copied as they are.
-An older one whose ref chain still ends at an unbound register of the
-merged store gets the writer's cell written at that end (a functor after
-an occurs check); refs, and registers that an earlier writer bound, are
-unified. A clash (atom vs number, structure vs numeric, occurs cycle)
-latches the whole store inconsistent.
+that changed nothing drop out, the first writer is adopted in O(its own
+writes), and each later writer's new registers are copied as they are
+and its older ones unified in index order; a clash (atom vs number,
+structure vs numeric, occurs cycle) latches the whole store inconsistent.
 
 Only `seal()` writes the base list of registers: it folds the view into
 it in place, and logs the indices it folds, in O(this instant's
@@ -66,10 +64,6 @@ from .linear import (
 UNBOUND = ("unbound",)
 
 ROOT, EXISTS, PROC_CALL = "root", "exists", "proc_call"
-
-
-def const_cell(value):
-    return ("const", value)
 
 
 def _leaf_rule(ca, cb):
@@ -107,8 +101,8 @@ def _term(t, slots):
         elif isinstance(t, ast.Anon):
             done.append(None)
         else:
-            done.append(const_cell(
-                t.name if isinstance(t, ast.Atom) else t.value))
+            done.append(("const",
+                         t.name if isinstance(t, ast.Atom) else t.value))
     return done[0]
 
 
@@ -425,25 +419,6 @@ class Store:
                 stack += (x[1], x[1] + 1)
         return False
 
-    def _bind_cons(self, a, t, env):
-        """Bind unbound register a to the cons code t over env, in new
-        registers allocated preorder; no register under t may reach a."""
-        base, log, todo = self.base, self.write_log, [(a, t)]
-        while todo:
-            a, t = todo.pop()
-            if t is None:  # `_`: the register stays unbound
-                continue
-            if isinstance(t, int):
-                t = ("ref", self._deref(env[t])[0])
-            elif t[0] == "cons":
-                h = base.next_cell
-                base.next_cell = h + 2  # the tail at head + 1
-                log[h] = log[h + 1] = UNBOUND
-                todo += ((h + 1, t[2]), (h, t[1]))
-                t = ("functor", h)
-            log[a] = t
-        self.n_cells, self.view = base.next_cell, None
-
     # ------------------------------------------------------------- scopes
 
     def add_scope(self, kind, parent, symbols, label=""):
@@ -511,35 +486,29 @@ class Store:
             if rhs is None:
                 return True
             rhs = env[rhs] if isinstance(rhs, int) else rhs
-        log, inh, memory = self.write_log, self.inherited, self.base.memory
-        stack = [(idx, rhs, None)]
+        deref, stack = self._deref, [(idx, rhs, None)]
         while stack:
-            a, t, seen = stack.pop()
-            ca = log.get(a) or inh.get(a) or memory[a]
-            while ca[0] == "ref":  # to the end of a's ref chain
-                a = ca[1]
-                ca = log.get(a) or inh.get(a) or memory[a]
+            i, t, seen = stack.pop()
+            a, ca = deref(i)
             b = None
             if isinstance(t, int):
-                b, t = t, log.get(t) or inh.get(t) or memory[t]
-                while t[0] == "ref":
-                    b = t[1]
-                    t = log.get(b) or inh.get(b) or memory[b]
+                b, t = deref(t)
                 if a == b:
                     continue
             elif t[0] == "cons":
                 if ca == UNBOUND and not ask and not (t[3] and self._reaches(
                         [env[s] for s in t[3]], a)):
-                    self._bind_cons(a, t, env)
-                elif ca[0] == "functor":
-                    for h, p in ((ca[1] + 1, t[2]), (ca[1], t[1])):
-                        if p is not None:
-                            stack.append((h, env[p] if isinstance(p, int)
-                                          else p, None))
-                elif ask:
-                    return False
-                else:
+                    ca = ("functor", self.new_cell())
+                    self.new_cell()  # the tail at head + 1
+                    self._set(a, ca)
+                if ca[0] != "functor":
+                    if ask:
+                        return False
                     self.step_false = True
+                    continue
+                stack += [(h, env[p] if isinstance(p, int) else p, None)
+                          for h, p in ((ca[1] + 1, t[2]), (ca[1], t[1]))
+                          if p is not None]
                 continue
             if ask and (ca == UNBOUND or t == UNBOUND):
                 return False  # a tell would bind a register
@@ -664,26 +633,12 @@ class Store:
             out.n_nodes = max(out.n_nodes, snap.n_nodes)
             out.n_dims = max(out.n_dims, snap.n_dims)
             # new registers as they are (allocation keeps indices disjoint
-            # across siblings), then older ones in index order: a cell
-            # whose register still ends unbound is written at that end, as
-            # `_unify` would, and refs and bound ends are unified
-            older = []
-            for i, cell in snap.write_log.items():
-                if i >= base_len:
-                    wl[i] = cell
-                else:
-                    older.append((i, cell))
-            for i, cell in sorted(older):
-                if cell[0] == "ref":
-                    out._unify(i, cell[1])
-                    continue
-                i, end = out._deref(i)
-                if end != UNBOUND:  # an earlier writer bound it
-                    out._unify(i, cell)
-                elif cell[0] == "functor" and out._reaches([cell], i):
-                    out.step_false = True
-                else:
-                    wl[i] = cell
+            # across siblings), then older ones, unified in index order
+            log = snap.write_log
+            wl.update([x for x in log.items() if x[0] >= base_len])
+            for i in sorted([i for i in log if i < base_len]):
+                cell = log[i]
+                out._unify(i, cell[1] if cell[0] == "ref" else cell)
         return out
 
     def adoptable(self, base_len):

@@ -18,8 +18,8 @@ from tccp.linear import (
     FALSE_ROW, dump_lin, ls_add, ls_entails, ls_meet, ls_new, row,
 )
 from tccp.store import (
-    STREAM, UNBOUND, _CELL_FIELD, _cell_arg, _leaf_rule, _overlaid,
-    compile_actual, compile_constraint,
+    STREAM, _CELL_FIELD, _cell_arg, _leaf_rule, _overlaid, compile_actual,
+    compile_constraint,
 )
 
 
@@ -46,15 +46,6 @@ def actual(st, a, scope):
     """The register of a formal whose actual, read in scope, is a."""
     code, env = _code(st, scope, a, compile_actual)
     return env[code] if isinstance(code, int) else st.actual_cell(code, env)
-
-
-def reference_tell(st, scope, c):
-    """`tell`, but a stream tell is walked by `reference_unify`."""
-    code, env = _code(st, scope, c, compile_constraint)
-    if code[0] == STREAM:
-        reference_unify(st, env[code[1]], code[2], env)
-    else:
-        st.add_constraint(code, env)
 
 
 def reference_ask(st, scope, c):
@@ -680,87 +671,12 @@ def check_parameter_law(rng, n_setups):
 
 # ------------------------------------------------------ reference merge
 
-# `Store._unify` as it was before it followed ref chains inline and bound
-# a told cons in one pass: one `_deref` per cell, and every cell of a
-# cons told onto an unbound register unified on its own. Only the name is
-# changed, and `self` is the store; `replay_merge` replays through it.
-
-def reference_unify(self, idx, rhs, env=None, ask=False):
-    """Unify register idx with another register, with a cell value other
-    than a ref (merge replay), or, given env, with a compiled term over
-    env; with `ask`, write nothing and answer whether it is entailed."""
-    if env is not None:
-        if rhs is None:
-            return True
-        rhs = env[rhs] if isinstance(rhs, int) else rhs
-    stack = [(idx, rhs, None)]
-    while stack:
-        i, t, seen = stack.pop()
-        a, ca = self._deref(i)
-        b = None
-        if isinstance(t, int):
-            b, t = self._deref(t)
-            if a == b:
-                continue
-        elif t[0] == "cons":
-            if ca == UNBOUND and not ask and not (t[3] and self._reaches(
-                    [env[s] for s in t[3]], a)):
-                ca = ("functor", self.new_cell())
-                self.new_cell()  # tail at head + 1
-                self._set(a, ca)
-            if ca[0] != "functor":
-                if ask:
-                    return False
-                self.step_false = True
-                continue
-            stack += [(h, env[p] if isinstance(p, int) else p, None)
-                      for h, p in ((ca[1] + 1, t[2]), (ca[1], t[1]))
-                      if p is not None]
-            continue
-        if ask and (ca == UNBOUND or t == UNBOUND):
-            return False  # a tell would bind a register
-        if ca == UNBOUND:
-            if b is not None and t == UNBOUND:
-                self._set(max(a, b), ("ref", min(a, b)))
-            elif t[0] == "functor" and self._reaches([t], a):
-                self.step_false = True
-            else:
-                self._set(a, t if b is None else ("ref", b))
-        elif t == UNBOUND:
-            if self._reaches([ca], b):
-                self.step_false = True
-            else:
-                self._set(b, ("ref", a))
-        elif ca == t:
-            continue
-        elif ca[0] == "functor" and t[0] == "functor":
-            seen = seen or set()
-            key = (a, t[1]) if b is None else (min(a, b), max(a, b))
-            if key in seen:
-                continue
-            seen.add(key)
-            stack.append((ca[1] + 1, t[1] + 1, seen))
-            stack.append((ca[1], t[1], seen))
-        else:
-            r = _leaf_rule(ca, t)
-            if ask:
-                if r is False or r is not True and not ls_entails(
-                        self.lin, r):
-                    return False
-            elif r is False:
-                self.step_false = True
-            elif r is not True:
-                self._add_row(r)
-    return True
-
-
 def replay_merge(base, locals_):
     """`Store.merge` by full replay, the reference for its differential
     tests: every sibling's whole view over the base, less what is the
     same object in base's view, replayed onto a branch of base, new
     registers first, then older ones in index order through
-    `reference_unify`. No sibling is dropped, none is adopted and no
-    cell is written without a walk."""
+    `Store._unify`. No sibling is dropped and none is adopted."""
     out = base.branch()
     base_cells, base_len = base._view(), base.n_cells
     lins = [snap.lin for snap in locals_ if snap.lin is not base.lin]
@@ -778,8 +694,7 @@ def replay_merge(base, locals_):
                 out._set(idx, cell)
         for idx, cell in own:
             if idx < base_len:
-                reference_unify(out, idx,
-                                cell[1] if cell[0] == "ref" else cell)
+                out._unify(idx, cell[1] if cell[0] == "ref" else cell)
     out.view = None
     return out
 

@@ -19,7 +19,7 @@ from tccp import cli, interp
 from tccp.cli import _jsonl_line
 from tccp.interp import ChoicePolicy, run
 from tccp.parser import parse_program
-from tccp.store import DumpMemo, STREAM, _cell_text, _node_text, const_cell
+from tccp.store import DumpMemo, STREAM, _cell_text, _node_text
 from support import FRACTIONAL, SPECIALISED, ProgramGen, dump_doc
 
 # _jsonl_line reads `json`, which tccp.cli binds on first use, as main does
@@ -195,7 +195,7 @@ def test_a_memo_dumps_a_live_snapshot_then_the_next_kept_store():
         assert kept.dump(memo) == compact(kept)
     snap = config.store.branch()
     z = snap.lookup(0, "Z")
-    snap.add_constraint((STREAM, 0, const_cell("b")), (z,))
+    snap.add_constraint((STREAM, 0, ("const", "b")), (z,))
     new = snap.new_cell()
     assert snap.dump(memo) == compact(snap)
     config = interp.step(config, policy, rng)[1]

@@ -91,6 +91,16 @@ def test_the_innermost_equal_name_wins():
         assert ask(final.store, 0, parse_constraint(c)), c
 
 
+def test_a_list_told_equal_to_its_own_tail_fails():
+    """The occurs check with the variable on the right: X = [a | Y], then
+    X = Y binds Y to a term that holds Y."""
+    program = parse_program(
+        "", entry="tell(X = [a | Y]) || ask(true) -> tell(X = Y)")
+    m, o = agree(program, 4)
+    assert m == o
+    assert m[-1][:2] == (2, "failed")  # clock and status, on both engines
+
+
 class TestNumericStreamEquations:
     """A stream equation whose sides walk to a numeric variable and a
     number, or to two numeric variables, is a linear equality. Each

@@ -82,6 +82,11 @@ class TestConstraints:
         c = parse_constraint("X - X + 2 = Y")
         assert c == Linear(lx(const=2), "=", lx(("Y", 1)))
 
+    def test_a_zero_coefficient_drops_its_variable(self):
+        c = parse_constraint("0 * X = 1")
+        assert c == Linear(LinExpr.of_num(0), "=", LinExpr.of_num(1))
+        assert pretty_constraint(c) == "0 = 1"
+
     def test_nonlinear_product_rejected(self):
         with pytest.raises(TccpSyntaxError):
             parse_constraint("X * Y = 2")
@@ -90,6 +95,11 @@ class TestConstraints:
         with pytest.raises(TccpSyntaxError) as e:
             parse_constraint("X + 1")
         assert "comparison" in str(e.value)
+
+    def test_a_cons_without_its_tail_rejected(self):
+        with pytest.raises(TccpSyntaxError) as e:
+            parse_program("p(X) :- tell(X = [a | ]).")
+        assert "expected a term, found ']'" in str(e.value)
 
 
 # ----------------------------------------------------------------- agents

@@ -4,23 +4,27 @@
                                           [curve ...]
 
 For each curve, prints its size n, the best of R wall times at n and at
-2n, their ratio (near 2 is a linear curve, near 4 a quadratic one) and
-the microseconds per instant at n. The curves are the photocopier with
-every instant printed (`tccp.cli.main` to os.devnull), the benchmark's
-photocopier run alone (its program and entry, `--policy last`, through
-`tccp.run(program, n, policy, every=0)`, so the step loop is timed apart
-from output) and four numeric programs run through `tccp.run(program, n,
-every=0)`. `--smoke` runs each at a few instants,
-to check that the curves still run; `--digest` also prints the sha256 of
-the photocopier's output at 2n, from one more run that is not timed.
-Stdlib only; pytest does not collect it.
+2n, their ratio (near 2 is a linear curve, near 4 a quadratic one), the
+microseconds per instant at n and the calls per instant at n, cProfile's
+count of function calls over one more run at n that is not timed; unlike
+the times, the count is the same from run to run on one CPython. The
+curves are the photocopier with every instant printed (`tccp.cli.main`
+to os.devnull), the benchmark's photocopier run alone (its program and
+entry, `--policy last`, through `tccp.run(program, n, policy, every=0)`,
+so the step loop is timed apart from output) and four numeric programs
+run through `tccp.run(program, n, every=0)`. `--smoke` runs each at a few
+instants, to check that the curves still run; `--digest` also prints the
+sha256 of the photocopier's output at 2n, from one more run that is not
+timed. Stdlib only; pytest does not collect it.
 """
 
 import argparse
 import contextlib
+import cProfile
 import hashlib
 import io
 import os
+import pstats
 import sys
 import time
 from importlib import resources
@@ -67,6 +71,26 @@ def photocopier(n, out):
         raise SystemExit(f"{PHOTOCOPIER} at {n}: exit {code}")
 
 
+def curve(name, smoke, devnull):
+    """The size n of a curve and the function that runs it at k instants."""
+    if name == PHOTOCOPIER:
+        return (20 if smoke else 1000), lambda k: photocopier(k, devnull)
+    if name == PHOTOCOPIER_RUN:
+        program = parse_program(PATH.read_text(), entry=RUN_ENTRY)
+        return (20 if smoke else 3000), lambda k: run(
+            program, k, ChoicePolicy("last"), 0)
+    decls, entry, n, smoke_n = NUMERIC[name]
+    program = parse_program(decls, entry=entry)
+    return (smoke_n if smoke else n), lambda k: run(program, k, every=0)
+
+
+def calls(fn):
+    """The number of calls that cProfile counts in one run of fn."""
+    profile = cProfile.Profile()
+    profile.runcall(fn)
+    return pstats.Stats(profile).total_calls
+
+
 def timed(fn, repeat):
     best = float("inf")
     for _ in range(repeat):
@@ -92,27 +116,14 @@ def main(argv=None):
         ap.error(f"unknown curve: {', '.join(sorted(unknown))}")
     curves = args.curves or CURVES
     print(f"{'curve':<28}{'n':>6}{'t(n) s':>10}{'t(2n) s':>10}{'ratio':>7}"
-          f"{'us/inst':>9}")
-    for name in curves:
-        if name == PHOTOCOPIER:
-            n = 20 if args.smoke else 1000
-            with open(os.devnull, "w") as devnull:
-                times = [timed(lambda: photocopier(k, devnull), args.repeat)
-                         for k in (n, 2 * n)]
-        elif name == PHOTOCOPIER_RUN:
-            n = 20 if args.smoke else 3000
-            program = parse_program(PATH.read_text(), entry=RUN_ENTRY)
-            times = [timed(lambda: run(program, k, ChoicePolicy("last"), 0),
-                           args.repeat) for k in (n, 2 * n)]
-        else:
-            decls, entry, n, smoke_n = NUMERIC[name]
-            n = smoke_n if args.smoke else n
-            program = parse_program(decls, entry=entry)
-            times = [timed(lambda: run(program, k, every=0), args.repeat)
-                     for k in (n, 2 * n)]
-        print(f"{name:<28}{n:>6}{times[0]:>10.3f}{times[1]:>10.3f}"
-              f"{times[1] / times[0]:>7.2f}{times[0] / n * 1e6:>9.1f}",
-              flush=True)
+          f"{'us/inst':>9}{'calls/inst':>12}")
+    with open(os.devnull, "w") as devnull:
+        for name in curves:
+            n, fn = curve(name, args.smoke, devnull)
+            times = [timed(lambda: fn(k), args.repeat) for k in (n, 2 * n)]
+            print(f"{name:<28}{n:>6}{times[0]:>10.3f}{times[1]:>10.3f}"
+                  f"{times[1] / times[0]:>7.2f}{times[0] / n * 1e6:>9.1f}"
+                  f"{calls(lambda: fn(n)) / n:>12.1f}", flush=True)
     if args.digest and PHOTOCOPIER in curves:
         out = io.StringIO()
         photocopier(2 * (20 if args.smoke else 1000), out)
