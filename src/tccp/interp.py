@@ -20,19 +20,22 @@ compiles constraints and actuals over it). Within one instant:
     commits their snapshots; it moves when any component does;
   - [HIDE, a, names, [body]], exists, makes a scope of new registers and
     runs the body; it moves when the body does;
-  - [CALL, a, name, actuals, formals, body] makes the call's scope and
-    schedules the declaration's compiled body for the next instant.
+  - [CALL, a, name, actuals, formals, body, writes] makes the call's
+    scope and schedules the declaration's compiled body for the next
+    instant; `writes` is False when every actual is a variable.
 Tells, nows and calls always move. An instant in which no thread moves
 is never committed: the run ends quiescent and the store stays as it was.
 
 A thread, or a component of a PAR, reads the store it started on until
-its first write (HIDE, CALL, PAR, or a tell other than tell(true)),
-where it branches a snapshot of its own; one that only reads leaves no
-snapshot. A JOIN, like the end of the instant, commits the snapshots
-left. With none, the result is the store they branched off. With one
-writer that merge would adopt, over a store that has no writes of its
-own, the result is that writer itself, which nothing else holds any
-more. Otherwise `Store.merge` builds it.
+its first write (HIDE, PAR, a tell other than tell(true), or a CALL with
+an actual that is not a variable, whose new register may bind an older
+one that a sibling also tells), where it branches a snapshot of its own;
+one that only reads leaves no snapshot. A CALL of variables alone adds
+its scope node to the store it reads. A JOIN, like the end of the
+instant, commits the snapshots left. With none, the result is the store
+they branched off; with one that merge would adopt, that writer itself,
+given the parent's own writes (`Store.adopt`). Otherwise `Store.merge`
+builds it.
 """
 
 import random
@@ -132,6 +135,7 @@ def compile_program(program):
     entry = _compile(program.entry, tuple(program.entry_vars), calls)
     for ins in calls:
         ins += decls[ins[2]]
+        ins.append(not all([isinstance(a, int) for a in ins[3]]))
     return entry
 
 
@@ -161,9 +165,8 @@ def step(config, policy, rng):
     while work:
         code, scope, env, parent, out = work.pop()
         if code is _JOIN:  # scope holds the snapshots branched off parent
-            if len(scope) == 1 and not parent.write_log and scope[0].adoptable(
-                    parent.n_cells):
-                parent = scope[0]  # what merge would build, without a copy
+            if len(scope) == 1 and scope[0].adoptable(parent.n_cells):
+                parent = scope[0].adopt(parent)
             elif scope:
                 parent = Store.merge(parent, scope)
             out.append(parent)
@@ -189,7 +192,8 @@ def step(config, policy, rng):
                 moved = True
             threads.append((code, scope, env))
         elif op != SKIP:
-            if snap is parent and (op != TELL or code[2][0] != TRUE):
+            if snap is parent and (code[2][0] != TRUE if op == TELL
+                                   else op != CALL or code[6]):
                 snap = parent.branch()  # the item's first write
             if op == PAR:  # components run in order, then the JOIN below
                 frame = []

@@ -40,6 +40,8 @@ that changed nothing drop out, the first writer is adopted in O(its own
 writes), and each later writer's new registers are copied as they are
 and its older ones unified in index order; a clash (atom vs number,
 structure vs numeric, occurs cycle) latches the whole store inconsistent.
+A lone writer is adopted in place (`adopt`); both count at least the
+base's `n_nodes`, which can grow after a branch.
 
 Only `seal()` writes the base list of registers: it folds the view into
 it in place, and logs the indices it folds, in O(this instant's
@@ -62,6 +64,7 @@ from .linear import (
 )
 
 UNBOUND = ("unbound",)
+_FRESH = object()  # `seen` of a cons that `_unify` binds at a new register
 
 ROOT, EXISTS, PROC_CALL = "root", "exists", "proc_call"
 
@@ -207,23 +210,31 @@ def _cell_arg(cell):
     return v
 
 
+# the text of a register by kind, and of a scope node by shape (kind,
+# label, *names), less their numbers; a run has few shapes
+_CELL_FORMAT = {kind: '{"kind":"%s"}' % kind if field is None else
+                '{"kind":"%s","%s":%%s}' % (kind, field)
+                for kind, field in _CELL_FIELD.items()}
+_NODE_FORMAT = {}
+
+
 def _cell_text(cell):
     if cell is None:
         return "null"
-    field = _CELL_FIELD[cell[0]]
-    if field is None:
-        return '{"kind":"%s"}' % cell[0]
-    arg = _cell_arg(cell)
-    return '{"kind":"%s","%s":%s}' % (
-        cell[0], field, _json_str(arg) if isinstance(arg, str) else arg)
+    return _CELL_FORMAT[cell[0]] % (
+        (_json_str(_cell_arg(cell)),) if cell[0] == "const" else cell[1:])
 
 
 def _node_text(node):
-    return '{"id":%d,"parent":%s,"kind":%s,"label":%s,"symbols":{%s}}' % (
-        node.id, "null" if node.parent is None else node.parent,
-        _json_str(node.kind), _json_str(node.label),
-        ",".join([f"{_json_str(name)}:{idx}"
-                  for name, idx in node.symbols.items()]))
+    shape = (node.kind, node.label, *node.symbols)
+    text = _NODE_FORMAT.get(shape)
+    if text is None:
+        kind, label, *names = [_json_str(x).replace("%", "%%") for x in shape]
+        text = _NODE_FORMAT[shape] = (
+            '{"id":%%d,"parent":%%s,"kind":%s,"label":%s,"symbols":{%s}}' % (
+                kind, label, ",".join([name + ":%d" for name in names])))
+    return text % (node.id, "null" if node.parent is None else node.parent,
+                   *node.symbols.values())
 
 
 _BLOCK = 128  # registers per joined block of memory text
@@ -480,27 +491,42 @@ class Store:
         that the linear store does not entail, and True otherwise. The walk
         keeps an explicit stack and pushes tails before heads, so its
         effects come in the order of a preorder walk; a clash latches
-        inconsistency and skips the rest of its cell.
+        inconsistency and skips the rest of its cell. A pair that it
+        allocates it binds as it is made, unread: nothing reaches it yet.
         """
         if env is not None:
             if rhs is None:
                 return True
             rhs = env[rhs] if isinstance(rhs, int) else rhs
+        log, inh, mem = self.write_log, self.inherited, self.base.memory
         deref, stack = self._deref, [(idx, rhs, None)]
         while stack:
-            i, t, seen = stack.pop()
-            a, ca = deref(i)
+            a, t, seen = stack.pop()
+            ca = UNBOUND if seen is _FRESH else (
+                log.get(a) or inh.get(a) or mem[a])
+            if ca[0] == "ref":
+                a, ca = deref(ca[1])
             b = None
             if isinstance(t, int):
-                b, t = deref(t)
+                b, t = t, log.get(t) or inh.get(t) or mem[t]
+                if t[0] == "ref":
+                    b, t = deref(t[1])
                 if a == b:
                     continue
             elif t[0] == "cons":
-                if ca == UNBOUND and not ask and not (t[3] and self._reaches(
-                        [env[s] for s in t[3]], a)):
-                    ca = ("functor", self.new_cell())
+                if ca == UNBOUND and not ask and (seen is _FRESH or not (
+                        t[3] and self._reaches([env[s] for s in t[3]], a))):
+                    h = self.new_cell()  # bound as made, tail first as below
                     self.new_cell()  # the tail at head + 1
-                    self._set(a, ca)
+                    self._set(a, ("functor", h))
+                    for k, p in ((h + 1, t[2]), (h, t[1])):
+                        if isinstance(p, int):
+                            log[k] = ("ref", deref(env[p])[0])
+                        elif p is not None and p[0] == "cons":
+                            stack.append((k, p, _FRESH))
+                        elif p is not None:
+                            log[k] = p
+                    continue
                 if ca[0] != "functor":
                     if ask:
                         return False
@@ -606,9 +632,9 @@ class Store:
         snapshots stay as they were. O(the siblings' own writes): the first
         writer is adopted when replay would not change it, the rest replayed.
 
-        Scope-tree growth survives even when a sibling's constraints clash;
-        constraint content is the least upper bound, with stream clashes
-        latching inconsistency.
+        Scope-tree growth survives even when a sibling's constraints clash,
+        and the result sees at least base's nodes; constraint content is
+        the least upper bound, with stream clashes latching inconsistency.
         """
         base_len = base.n_cells
         writers = [s for s in locals_ if s.write_log
@@ -621,7 +647,8 @@ class Store:
         out.inherited, out.view = base.inherited, None
         out.write_log = wl = {**base.write_log, **first.write_log}
         out.base, out.n_cells, out.n_nodes, out.n_dims = (
-            base.base, first.n_cells, first.n_nodes, first.n_dims)
+            base.base, first.n_cells, max(first.n_nodes, base.n_nodes),
+            first.n_dims)
         out.lin, out.step_false = first.lin, first.step_false
         if rest and any(snap.lin is not base.lin for snap in rest):
             # each lin grew from base.lin
@@ -640,6 +667,15 @@ class Store:
                 cell = log[i]
                 out._unify(i, cell[1] if cell[0] == "ref" else cell)
         return out
+
+    def adopt(self, base):
+        """`merge(base, [self])` built in this snapshot, branched off base
+        and `adoptable(base.n_cells)`; its view already holds base's writes."""
+        if base.write_log:
+            self.write_log = {**base.write_log, **self.write_log}
+        self.inherited = base.inherited
+        self.n_nodes = max(self.n_nodes, base.n_nodes)
+        return self
 
     def adoptable(self, base_len):
         """Does replay onto a base of `base_len` registers give back this

@@ -480,7 +480,21 @@ class TestByteGate:
         # one thread binds Y and refs X, the older register, to it
         ("p(X, Y) :- tell(Y = a) || tell(X = Y).", "p(X, Y)", 0, 3,
          "1254b2ec8d62c07df0fb3405c32fcda34b7c023568829bb4678ab067e20a1e95"),
-    ], ids=["wide-instant-300", "nested-shared-streams", "ref-to-own-binding"])
+        # the same lone writer over an exists, whose register is the
+        # parent's own write: it is replayed, not adopted
+        ("p(X, Y) :- exists Z (now (Z = c) then skip"
+         " else ((tell(Y = a) || tell(X = Y)) || skip)).", "p(X, Y)", 0, 3,
+         "a809d3ac8871ca488c9fb525571a7bc950b7594a66b3a7cc8a1392f38c704512"),
+        # calls of variables alone beside tells on the same registers, in
+        # a group and at top level, after a sibling has branched
+        ("r(X, Y, N) :- exists Z, M (tell(X = [N | Y]) || tell(M = N - 1)"
+         " || (now (N > 0) then (tell(Y = [M | Z]) || r(Y, Z, M))"
+         " else tell(Y = nil))).\n"
+         "s(X, Y) :- tell(X = [3 | Y]).\n"
+         "t(X, Y) :- s(X, Y).", "r(A, B, 3) || r(C, D, 2) || t(A, B)", 0, 6,
+         "4022f5f403737e3984250b7e8db686d0d2d5d7d9522099eda1044fabad955eaa"),
+    ], ids=["wide-instant-300", "nested-shared-streams", "ref-to-own-binding",
+            "ref-to-own-binding-over-exists", "variable-calls-beside-tells"])
     def test_many_writer_instants_jsonl(self, cli, tmp_path, program, entry,
                                         code, lines, digest):
         path = tmp_path / "p.tccp"

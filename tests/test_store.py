@@ -7,7 +7,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as strat
+from hypothesis import assume, given, settings, strategies as strat
 
 from tccp import ast
 from tccp.errors import UnknownSymbolError
@@ -701,6 +701,33 @@ class TestMergeWriters:
         dumps = [dump_doc(st) for st in [base] + snaps]
         tell(out, 0, C("U = [z | _]"))
         assert [dump_doc(st) for st in [base] + snaps] == dumps
+
+    @settings(max_examples=300, deadline=None)
+    @given(strat.data())
+    def test_a_lone_writer_adopted_in_place_dumps_as_merged(self, data):
+        # a JOIN with one writer over a parent that has writes of its own
+        # (an exists first) adopts it in place; a call of variables alone
+        # may add a node to the parent after the writer branched
+        prep = data.draw(strat.lists(strat.sampled_from(TELLS), max_size=1))
+        sealed, later_node = data.draw(strat.booleans()), data.draw(
+            strat.booleans())
+        scripts = data.draw(strat.sampled_from(SCRIPTS))
+        own = [("exists", data.draw(strat.sampled_from(SCOPED)))]
+        own += data.draw(scripts)
+        base = Store.new(["X", "Y", "T", "U", "N", "M"])
+        for text in prep:
+            tell(base, 0, C(text))
+        if sealed:
+            base.seal()
+        parent = run_script(base.branch(), own, Store.merge)
+        writer = run_script(parent.branch(), data.draw(scripts), Store.merge)
+        if later_node:
+            parent.add_scope(PROC_CALL, 0, {}, label="z")
+        assume(writer.adoptable(parent.n_cells))
+        merged = dump_doc(Store.merge(parent, [writer]))
+        adopted = writer.adopt(parent)
+        assert dump_doc(adopted) == merged
+        assert dump_doc(adopted.seal()) == merged  # its writes, not its view
 
 
 def siblings(*tells, prep=()):
