@@ -6,9 +6,15 @@
 
 Exit codes: 0 when the run ends running or quiescent, 2 when the store
 became inconsistent, 1 on parse/scope errors.
+
+`main()` without arguments runs as the program, and the process only
+exits after it. So it then freezes the collector: CPython's exit-time
+collections skip every object alive at that point, and the OS takes the
+memory back. Callers that pass `argv` keep a heap that is never frozen.
 """
 
 import argparse
+import gc
 import sys
 import time
 
@@ -155,12 +161,12 @@ def _bad_usage(args):
 
 
 def main(argv=None):
-    args = _build_argparser().parse_args(argv)
-    problem = _bad_usage(args)
-    if problem:
-        print(f"error: {problem}", file=sys.stderr)
-        return 1
     try:
+        args = _build_argparser().parse_args(argv)
+        problem = _bad_usage(args)
+        if problem:
+            print(f"error: {problem}", file=sys.stderr)
+            return 1
         if args.command == "check":
             return cmd_check(args)
         __getattr__("run")  # binds every simulator name
@@ -168,6 +174,9 @@ def main(argv=None):
     except (TccpError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    finally:
+        if argv is None:  # the process only exits from here
+            gc.freeze()
 
 
 if __name__ == "__main__":

@@ -204,7 +204,8 @@ def step(config, policy, rng):
             moved = True  # tells and calls always move
             if op == CALL:
                 regs = tuple([env[a] if isinstance(a, int)
-                              else snap.actual_cell(a, env) for a in code[3]])
+                              else snap.actual_cell(a, env) for a in code[3]]
+                             if code[6] else [env[a] for a in code[3]])
                 scope = snap.add_scope(PROC_CALL, scope,
                                        dict(zip(code[4], regs)), code[2])
                 threads.append((code[5], scope, regs))

@@ -9,15 +9,16 @@ store does not count them, whoever allocates them does.
 
 Satisfiability is decided exactly over the rationals. Each store keeps
 its equalities in a solved form that grows by at most one pivot per told
-equality; the inequalities, reduced through it, go to the general
-simplex check of Dutertre & de Moura (CAV 2006), and only when some of
-them still have variables. There each row bounds a slack variable from
-above, dimensions are free, and a strict row's bound is lowered by an
-infinitesimal δ, so strict and non-strict rows are decided in one pass;
-Bland's rule picks every pivot. Projection uses Fourier-Motzkin
-elimination with strictness propagation. Numbers are ints where they are
-integral and Fractions where a pivot other than +-1 divides or in the
-simplex; answers never depend on floating point.
+equality, the newest dimension of its reduced row, so a definition
+mentions only older dimensions. The inequalities, reduced through it, go
+to the general simplex check of Dutertre & de Moura (CAV 2006), and only
+when some of them still have variables. There each row bounds a slack
+variable from above, dimensions are free, and a strict row's bound is
+lowered by an infinitesimal δ, so strict and non-strict rows are decided
+in one pass; Bland's rule picks every pivot. Projection uses
+Fourier-Motzkin elimination with strictness propagation. Numbers are
+ints where they are integral and Fractions where a pivot other than +-1
+divides or in the simplex; answers never depend on floating point.
 """
 
 from fractions import Fraction
@@ -85,15 +86,15 @@ def _reduce(coeffs, const, solved):
 
     Returns ({dim: coef}, const) over non-pivot dimensions only, each
     number an int or a Fraction as the arithmetic left it. Pivots are
-    taken lowest first; a definition mentions only dimensions above its
-    pivot, so each substitution's pivot is higher than the last and the
-    loop ends.
+    taken highest first; a definition mentions only dimensions below its
+    pivot, so each substitution's pivot is lower than the last, each
+    pivot is substituted at most once and the loop ends.
     """
     work = dict(coeffs)
-    todo = [d for d in work if d in solved]
+    todo = [-d for d in work if d in solved]
     heapify(todo)
     while todo:
-        p = heappop(todo)
+        p = -heappop(todo)
         f = work.pop(p, None)
         if f is None:  # cancelled out by an earlier substitution
             continue
@@ -102,7 +103,7 @@ def _reduce(coeffs, const, solved):
             v = work.get(j, 0) + f * c
             if v:
                 if j not in work and j in solved:
-                    heappush(todo, j)
+                    heappush(todo, -j)
                 work[j] = v
             else:
                 del work[j]
@@ -113,14 +114,16 @@ def _reduce(coeffs, const, solved):
 def _absorb(solved, r):
     """Add the equality row `r` to `solved` in place; False if it contradicts it.
 
-    The reduced row's lowest dimension becomes a pivot defined by the
-    rest, so a definition only mentions higher dimensions that are not
-    pivots yet. Only a pivot coefficient other than +-1 divides.
+    The reduced row's highest dimension, on a tell mostly the one it just
+    allocated, becomes a pivot defined by the rest. So a definition
+    mentions only lower dimensions, and a counter's `M = N + 1` defines M
+    over N and forms no chain. Only a pivot coefficient other than +-1
+    divides.
     """
     coeffs, const = _reduce(r[1], r[2], solved)
     if not coeffs:
         return const == 0
-    p = min(coeffs)
+    p = max(coeffs)
     a = coeffs.pop(p)
     m = -a if a in (1, -1) else Fraction(-1, a)  # -1 / a, never a float
     solved[p] = ({j: m * c for j, c in coeffs.items()}, m * const)
@@ -221,17 +224,16 @@ class LinStore:
     following `rows`; nothing reads it.
     """
 
-    __slots__ = ("rows", "solved", "ineqs", "empty", "_memo")
+    __slots__ = ("rows", "solved", "ineqs", "empty")
 
     def __init__(self, rows, solved, ineqs, empty):
         self.rows = rows
         self.solved = solved
         self.ineqs = ineqs
         self.empty = empty
-        self._memo = {}
 
 
-# one empty store for all: stores are values, and its memo only caches answers
+# one empty store for all: stores are values
 _NEW = LinStore((), {}, (), False)
 
 
@@ -280,14 +282,11 @@ def ls_is_empty(s):
 
 
 def ls_entails(s, r):
-    """Does every solution of the store satisfy the row? Pure, memoized."""
+    """Does every solution of the store satisfy the row? Pure."""
     if r is None or s.empty:
         return True
-    hit = s._memo.get(r)
-    if hit is None:
-        hit = s._memo[r] = r != FALSE_ROW and not any(
-            _feasible(s.ineqs + (neg,), s.solved) for neg in _negate(r))
-    return hit
+    return r != FALSE_ROW and not any(
+        _feasible(s.ineqs + (neg,), s.solved) for neg in _negate(r))
 
 
 def ls_meet(base, lins):

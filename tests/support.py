@@ -204,7 +204,8 @@ def fm_feasible(rows):
 
 # `row`, `_reduce` and `_absorb` as they were when every number in them
 # was a Fraction, the reference for the differential test of the int
-# arithmetic that replaced them; only the names are changed.
+# arithmetic that replaced them; only the names are changed, and the two
+# solved-form functions pivot on the highest dimension as the package does.
 
 def fraction_row(op, coeffs, const):
     """Build a canonical row from op, {dim: coef} and a constant.
@@ -243,16 +244,16 @@ def fraction_reduce(coeffs, const, solved):
     """Substitute the pivots of `solved` out of `sum c*D + const`.
 
     Returns ({dim: Fraction}, Fraction) over non-pivot dimensions only.
-    Pivots are taken lowest first; a definition mentions only dimensions
-    above its pivot, so each substitution's pivot is higher than the last
+    Pivots are taken highest first; a definition mentions only dimensions
+    below its pivot, so each substitution's pivot is lower than the last
     and the loop ends.
     """
     work = {d: Fraction(c) for d, c in coeffs}
     const = Fraction(const)
-    todo = [d for d in work if d in solved]
+    todo = [-d for d in work if d in solved]
     heapify(todo)
     while todo:
-        p = heappop(todo)
+        p = -heappop(todo)
         f = work.pop(p, None)
         if f is None:  # cancelled out by an earlier substitution
             continue
@@ -261,7 +262,7 @@ def fraction_reduce(coeffs, const, solved):
             v = work.get(j, 0) + f * c
             if v:
                 if j not in work and j in solved:
-                    heappush(todo, j)
+                    heappush(todo, -j)
                 work[j] = v
             else:
                 del work[j]
@@ -272,14 +273,13 @@ def fraction_reduce(coeffs, const, solved):
 def fraction_absorb(solved, r):
     """Add the equality row `r` to `solved` in place; False if it contradicts it.
 
-    The reduced row's lowest dimension becomes a pivot defined by the
-    rest, so a definition only mentions higher dimensions that are not
-    pivots yet.
+    The reduced row's highest dimension becomes a pivot defined by the
+    rest, so a definition only mentions lower dimensions.
     """
     coeffs, const = fraction_reduce(r[1], r[2], solved)
     if not coeffs:
         return const == 0
-    p = min(coeffs)
+    p = max(coeffs)
     a = coeffs.pop(p)
     solved[p] = ({j: -c / a for j, c in coeffs.items()}, -const / a)
     return True

@@ -1,6 +1,7 @@
 """Command line front end: flags, output formats, exit codes,
 and byte-level determinism of the jsonl trace."""
 
+import gc
 import hashlib
 import json
 import subprocess
@@ -375,6 +376,47 @@ class TestStartup:
         assert script.returncode == module.returncode == 0, script.stderr
         assert script.stdout == module.stdout
         assert hashlib.sha256(script.stdout).hexdigest() == PHOTOCOPIER_30
+
+
+class TestExit:
+    """`main()` run as the program freezes the collector before it returns;
+    `main(argv)` called in process leaves the heap as it was."""
+
+    # an atexit handler registered before main, so it runs after every
+    # other one; it reports on stderr whether the heap was frozen
+    PROGRAM = ("import atexit, gc, sys\n"
+               "atexit.register(lambda: print('frozen:', "
+               "gc.get_freeze_count() > 0, file=sys.stderr))\n"
+               "sys.argv = ['tccp', *{argv!r}]\n"
+               "import tccp.cli\n"
+               "sys.exit(tccp.cli.main())\n")
+
+    def test_the_program_exits_frozen_with_the_usual_output(self):
+        r = bare_child("-c", self.PROGRAM.format(argv=RUN_30))
+        assert r.returncode == 0, r.stderr
+        assert hashlib.sha256(r.stdout).hexdigest() == PHOTOCOPIER_30
+        assert r.stderr == b"frozen: True\n"
+
+    @pytest.mark.parametrize("argv, code, err", [
+        (["check", "--program", "/nonexistent/x.tccp"], 1, b"error: "),
+        (["run", "--program", PHOTOCOPIER, "--entry", "skip",
+          "--steps", "-1"], 1, b"error: --steps must be >= 0\n"),
+        (["check"], 2, b"usage: "),
+    ], ids=["missing-file", "bad-usage", "argparse"])
+    def test_an_error_exits_frozen_with_its_code(self, argv, code, err):
+        r = bare_child("-c", self.PROGRAM.format(argv=argv))
+        assert r.returncode == code, r.stderr
+        assert r.stdout == b""
+        assert r.stderr.startswith(err)
+        assert r.stderr.endswith(b"\nfrozen: True\n")
+
+    def test_main_called_with_argv_freezes_nothing(self, cli, empty_program):
+        before = gc.get_freeze_count()
+        assert cli("check", "--program", PHOTOCOPIER)[0] == 0
+        assert cli("run", "--program", empty_program, "--entry", "skip",
+                   "--steps", "2")[0] == 0
+        assert cli("check", "--program", "/nonexistent/x.tccp")[0] == 1
+        assert gc.get_freeze_count() == before
 
 
 class TestWrappedNames:

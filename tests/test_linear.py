@@ -326,6 +326,14 @@ class TestSolvedForm:
                 assert ls_entails(s, R(">=", {n: 1}, -(2 + n * k)))
                 assert not ls_entails(s, R(">", {n: 1}, -(2 + n * k)))
 
+    def test_a_counter_defines_each_new_dimension_over_the_first(self):
+        # D_{i+1} = D_i + 1 pivots on the newer D_{i+1}, so no definition
+        # chains through the one before it
+        s = chain(200, 1, extra={0: [R(">=", {0: 1}, 0)]})
+        assert sorted(s.solved) == list(range(1, 201))
+        assert all(list(c) == [0] for c, _ in s.solved.values())
+        assert s.solved[200] == ({0: 1}, 200)
+
     def test_pure_equalities_never_reach_the_simplex(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("simplex built for a pure-equality store")
@@ -499,6 +507,30 @@ class TestIntArithmetic:
                 assert not floats_in(tableaux(built)), s.rows
         finally:
             linear._Simplex = saved
+
+
+class TestPivotOrder:
+    """Each pivot of a solved form is the newest dimension of its row."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(raw_row, max_size=10))
+    def test_definitions_mention_only_lower_dimensions(self, raws):
+        solved, rows = {}, []
+        for raw in raws:
+            r = row(*raw)
+            if r is None or r[0] != "=":
+                continue
+            rows.append(r)
+            if not linear._absorb(solved, r):
+                assert not fm_feasible(rows)
+                return
+            for p, (coeffs, _) in solved.items():
+                assert all(d < p for d in coeffs), (p, solved)
+            for _, coeffs, const in rows:
+                reduced, _ = linear._reduce(coeffs, const, solved)
+                assert not set(reduced) & set(solved), (reduced, solved)
+        assert fm_feasible(rows)
+        assert ls_is_empty(store(*rows)) == (not fm_feasible(rows))
 
 
 # ------------------------------------------------------- canonical rows

@@ -5,17 +5,21 @@
 
 For each curve, prints its size n, the best of R wall times at n and at
 2n, their ratio (near 2 is a linear curve, near 4 a quadratic one), the
-microseconds per instant at n and the calls per instant at n, cProfile's
-count of function calls over one more run at n that is not timed; unlike
-the times, the count is the same from run to run on one CPython. The
-curves are the photocopier with every instant printed (`tccp.cli.main`
-to os.devnull), the benchmark's photocopier run alone (its program and
-entry, `--policy last`, through `tccp.run(program, n, policy, every=0)`,
-so the step loop is timed apart from output) and four numeric programs
-run through `tccp.run(program, n, every=0)`. `--smoke` runs each at a few
-instants, to check that the curves still run; `--digest` also prints the
-sha256 of the photocopier's output at 2n, from one more run that is not
-timed. Stdlib only; pytest does not collect it.
+microseconds per instant at n, and the calls per instant at n and at 2n
+with their ratio: cProfile's count of function calls over one more run
+at each size that is not timed. Unlike the times, the counts are the
+same from run to run on one CPython, so they can gate: the exit code is
+1 when a curve's calls per instant grow by more than 10% from n to 2n,
+that is when its work per instant grows with the run, unless the curve
+is in GROWING. The curves are the photocopier with every instant printed
+(`tccp.cli.main` to os.devnull), the benchmark's photocopier run alone
+(its program and entry, `--policy last`, through `tccp.run(program, n,
+policy, every=0)`, so the step loop is timed apart from output) and four
+numeric programs run through `tccp.run(program, n, every=0)`. `--smoke`
+runs each at a few instants, to check that the curves still run;
+`--digest` also prints the sha256 of the photocopier's output at 2n,
+from one more run that is not timed. Stdlib only; pytest does not
+collect it.
 """
 
 import argparse
@@ -58,6 +62,11 @@ PHOTOCOPIER = "photocopier-every-instant"
 PHOTOCOPIER_RUN = "photocopier-run"
 RUN_ENTRY = "initialize(MIdle) || tell(MIdle = 8)"  # perfbench's, seed 0
 CURVES = (PHOTOCOPIER, PHOTOCOPIER_RUN, *NUMERIC)
+# curves whose calls per instant still grow with n: each instant of the
+# sum chain adds a live inequality that every later simplex check solves
+# again (ROADMAP items 15 and 6)
+GROWING = {"sum-chain"}
+GROWTH_LIMIT = 1.10  # calls per instant at 2n over those at n
 PATH = resources.files("tccp") / "programs" / "photocopier.tccp"
 
 
@@ -116,19 +125,29 @@ def main(argv=None):
         ap.error(f"unknown curve: {', '.join(sorted(unknown))}")
     curves = args.curves or CURVES
     print(f"{'curve':<28}{'n':>6}{'t(n) s':>10}{'t(2n) s':>10}{'ratio':>7}"
-          f"{'us/inst':>9}{'calls/inst':>12}")
+          f"{'us/inst':>9}{'calls/inst':>12}{'at 2n':>10}{'ratio':>7}")
+    grown = []
     with open(os.devnull, "w") as devnull:
         for name in curves:
             n, fn = curve(name, args.smoke, devnull)
             times = [timed(lambda: fn(k), args.repeat) for k in (n, 2 * n)]
+            per = [calls(lambda: fn(k)) / k for k in (n, 2 * n)]
+            growth = per[1] / per[0]
             print(f"{name:<28}{n:>6}{times[0]:>10.3f}{times[1]:>10.3f}"
                   f"{times[1] / times[0]:>7.2f}{times[0] / n * 1e6:>9.1f}"
-                  f"{calls(lambda: fn(n)) / n:>12.1f}", flush=True)
+                  f"{per[0]:>12.1f}{per[1]:>10.1f}{growth:>7.3f}", flush=True)
+            if growth > GROWTH_LIMIT and name not in GROWING:
+                grown.append(name)
     if args.digest and PHOTOCOPIER in curves:
         out = io.StringIO()
         photocopier(2 * (20 if args.smoke else 1000), out)
         digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
         print(f"{PHOTOCOPIER} sha256 at 2n: {digest}")
+    if grown:
+        print(f"calls per instant grow by more than "
+              f"{GROWTH_LIMIT - 1:.0%} from n to 2n: {', '.join(grown)}",
+              file=sys.stderr)
+        return 1
     return 0
 
 
